@@ -385,12 +385,19 @@ let e7 () =
     let topo_net = Netsim.Net.topology s.net in
     let own_points = Sdnctl.Addressing.access_points s.addressing topo_net ~client:0 in
     let peer_ip = (Option.get (Sdnctl.Addressing.host s.addressing ~host:2)).ip in
+    (* An answer never lists the querier's own access point (h0's):
+       an Output to the ingress port is suppressed. *)
+    let querier_point =
+      match Netsim.Topology.host_attachment topo_net 0 with
+      | Some { Netsim.Topology.node = Netsim.Topology.Switch sw; port } -> Some (sw, port)
+      | Some _ | None -> None
+    in
     let policy =
       {
         (Workload.Scenario.policy_for s ~client:0) with
         Rvaas.Detector.forbidden_jurisdictions = [ "RU" ];
         min_rate_kbps = Some 1000;
-        expected_reachable = own_points;
+        expected_reachable = List.filter (fun p -> Some p <> querier_point) own_points;
       }
     in
     let detected_by query =
@@ -2830,6 +2837,23 @@ let micro () =
       ~now:0.0
   done;
   let header = Hspace.Header.udp ~src_ip:1 ~dst_ip:1099 ~src_port:1 ~dst_port:2 in
+  (* Ingest kernels on a 100-rule switch whose rules share one priority,
+     like the provider's per-destination routes; each call re-installs
+     (or re-reports) the middle rule, so the table stays the same size.
+     Separate views keep the kernels from reordering each other's. *)
+  let route i =
+    Ofproto.Flow_entry.make_spec ~priority:100
+      (Ofproto.Match_.with_exact Ofproto.Match_.any Hspace.Field.Ip_dst (2000 + i))
+      [ Ofproto.Action.Output 1 ]
+  in
+  let routes = List.init 100 route in
+  let mid = List.nth routes 50 in
+  let route_table = Ofproto.Flow_table.create () in
+  List.iter (fun spec -> Ofproto.Flow_table.add route_table spec ~now:0.0) routes;
+  let event_view = Rvaas.Snapshot.create () in
+  Rvaas.Snapshot.replace_flows event_view ~sw:0 ~now:0.0 routes;
+  let reply_view = Rvaas.Snapshot.create () in
+  Rvaas.Snapshot.replace_flows reply_view ~sw:0 ~now:0.0 routes;
   (* A settled fat-tree scenario for the reachability kernel. *)
   let topo = Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4 in
   let s = build_scenario topo in
@@ -2875,6 +2899,18 @@ let micro () =
                ~src_port:att.Netsim.Topology.port
                ~hs:(Rvaas.Verifier.dst_ip_hs 0x0A000002)) );
       ("snapshot_digest", fun () -> ignore (Rvaas.Snapshot.digest snapshot));
+      ("flow_table_add_100", fun () -> Ofproto.Flow_table.add route_table mid ~now:0.0);
+      (* What the monitor pays per Flow-Mod event: the event, then the
+         switch digest its [changed] flag compares. *)
+      ( "snapshot_apply_event",
+        fun () ->
+          Rvaas.Snapshot.apply_event event_view ~sw:0 ~now:0.0
+            (Ofproto.Message.Flow_modified mid);
+          ignore (Rvaas.Snapshot.switch_digest event_view ~sw:0) );
+      (* A stats reply that confirms the view: the switch reports the
+         rules it holds, in table order. *)
+      ( "snapshot_replace_flows",
+        fun () -> Rvaas.Snapshot.replace_flows reply_view ~sw:0 ~now:0.0 routes );
       ( "answer_codec",
         fun () -> ignore (Rvaas.Codec.encode_answer empty_answer ~signer:service_kp) );
     ]

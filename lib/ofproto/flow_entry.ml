@@ -27,6 +27,22 @@ let spec_equal a b =
   && a.cookie = b.cookie
   && a.meter = b.meter
 
+(* FNV-1a over whole words, as in [Match_.hash]. *)
+let mix h word = (h lxor word) * 0x100000001B3
+
+let mix_action h = function
+  | Action.Output p -> mix (mix h 0) p
+  | Action.In_port -> mix h 1
+  | Action.Flood -> mix h 2
+  | Action.To_controller -> mix h 3
+  | Action.Set_field (f, v) -> mix (mix (mix h 4) (Hspace.Field.offset f)) v
+  | Action.Set_queue q -> mix (mix h 5) q
+
+let hash_into h s =
+  let h = mix (mix (mix h s.priority) s.cookie) (Match_.hash s.match_) in
+  let h = match s.meter with None -> mix h 0 | Some m -> mix (mix h 1) m in
+  List.fold_left mix_action (mix h (List.length s.actions)) s.actions
+
 let account t ~bytes =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + bytes

@@ -38,6 +38,12 @@ val install : spec -> now:float -> t
     cookie and meter (timeouts excluded: they do not affect forwarding). *)
 val spec_equal : spec -> spec -> bool
 
+(** [hash_into h s] mixes the fields {!spec_equal} compares into the
+    running word hash [h] (FNV-1a over whole words).  Specs equal under
+    {!spec_equal} mix identically, so folding it over a rule list gives
+    an order-sensitive fingerprint of that list. *)
+val hash_into : int -> spec -> int
+
 (** [account t ~bytes] bumps the counters for one matched packet. *)
 val account : t -> bytes:int -> unit
 

@@ -19,22 +19,55 @@ let notify t change =
   t.version <- t.version + 1;
   List.iter (fun f -> f change) t.observers
 
-(* Insert keeping priority-descending order; within a priority the new
-   entry goes last (FIFO). *)
-let rec insert entry = function
-  | [] -> [ entry ]
-  | e :: rest when e.Flow_entry.spec.priority >= entry.Flow_entry.spec.priority ->
-    e :: insert entry rest
-  | rest -> entry :: rest
-
+(* One pass over the priority-descending list: higher priorities are
+   kept as they are, an entry in [spec]'s slot (same priority, equal
+   match) is dropped, and the new entry goes last among its priority
+   (FIFO).  Only same-priority entries pay for a match comparison. *)
 let add t (spec : Flow_entry.spec) ~now =
-  let same_slot (e : Flow_entry.t) =
-    e.spec.priority = spec.priority && Match_.equal e.spec.match_ spec.match_
+  let p = spec.priority in
+  let replaced = ref false in
+  let rec go acc = function
+    | (e : Flow_entry.t) :: rest when e.spec.priority > p -> go (e :: acc) rest
+    | (e : Flow_entry.t) :: rest when e.spec.priority = p ->
+      if Match_.equal e.spec.match_ spec.match_ then begin
+        replaced := true;
+        go acc rest
+      end
+      else go (e :: acc) rest
+    | rest -> List.rev_append acc (Flow_entry.install spec ~now :: rest)
   in
-  let replaced = List.exists same_slot t.entries in
-  let remaining = List.filter (fun e -> not (same_slot e)) t.entries in
-  t.entries <- insert (Flow_entry.install spec ~now) remaining;
-  notify t (if replaced then Modified spec else Added spec)
+  t.entries <- go [] t.entries;
+  notify t (if !replaced then Modified spec else Added spec)
+
+module Slots = Hashtbl.Make (struct
+  type t = int * Match_.t
+
+  let equal (p, m) (q, n) = p = q && Match_.equal m n
+
+  let hash (p, m) = Hashtbl.hash (p, Match_.hash m)
+end)
+
+(* What [add] one spec at a time would leave: a stable sort keeps
+   arrival order within a priority, and of the specs sharing a slot
+   only the last survives, at its own position. *)
+let replace t specs ~now =
+  let sorted =
+    List.stable_sort
+      (fun (a : Flow_entry.spec) (b : Flow_entry.spec) -> Int.compare b.priority a.priority)
+      specs
+  in
+  let seen = Slots.create 64 in
+  t.entries <-
+    List.fold_left
+      (fun acc (spec : Flow_entry.spec) ->
+        let slot = (spec.priority, spec.match_) in
+        if Slots.mem seen slot then acc
+        else begin
+          Slots.add seen slot ();
+          Flow_entry.install spec ~now :: acc
+        end)
+      [] (List.rev sorted);
+  t.version <- t.version + 1
 
 let remove_matching t ~reason pred =
   let removed, kept = List.partition pred t.entries in
@@ -76,8 +109,6 @@ let entries t = t.entries
 let specs t = List.map (fun (e : Flow_entry.t) -> e.spec) t.entries
 
 let size t = List.length t.entries
-
-let clear t = t.entries <- []
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%a@]"

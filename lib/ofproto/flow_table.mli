@@ -56,8 +56,10 @@ val specs : t -> Flow_entry.spec list
 (** [size t] is the number of installed entries. *)
 val size : t -> int
 
-(** [clear t] removes everything without reporting changes (used to
-    reset benchmark fixtures). *)
-val clear : t -> unit
+(** [replace t specs ~now] makes [t] hold exactly what {!add} of each
+    spec in order would leave on an empty table, in one sort and one
+    pass instead of one pass per spec.  Observers are not notified; the
+    version bumps once. *)
+val replace : t -> Flow_entry.spec list -> now:float -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -57,17 +57,74 @@ let port_subset a b =
   | Some pa, Some pb -> pa = pb
   | None, Some _ -> false
 
-let subset a b = port_subset a.in_port b.in_port && Hspace.Tern.subset (to_tern a) (to_tern b)
+(* Field-wise containment, equality and overlap on the canonical field
+   lists ([with_field] keeps them sorted by [field_order], masked to the
+   field width, with [value] inside [mask] and no zero masks).  Cubes
+   are never empty, so these agree exactly with the [to_tern] cube
+   relations while building no cube. *)
+
+(* Every constraint of [b] is implied by [a]'s constraint on the same
+   field; a field [b] constrains and [a] leaves free breaks it. *)
+let rec fields_subset a b =
+  match a, b with
+  | _, [] -> true
+  | [], _ :: _ -> false
+  | (fa, ma) :: ra, (fb, mb) :: rb ->
+    if fa == fb then
+      ma.mask land mb.mask = mb.mask
+      && ma.value land mb.mask = mb.value
+      && fields_subset ra rb
+    else field_order fa < field_order fb && fields_subset ra b
+
+let rec fields_equal a b =
+  match a, b with
+  | [], [] -> true
+  | (fa, ma) :: ra, (fb, mb) :: rb ->
+    fa == fb && ma.value = mb.value && ma.mask = mb.mask && fields_equal ra rb
+  | [], _ :: _ | _ :: _, [] -> false
+
+(* Only fields constrained by both can disagree. *)
+let rec fields_overlap a b =
+  match a, b with
+  | [], _ | _, [] -> true
+  | (fa, ma) :: ra, (fb, mb) :: rb ->
+    if fa == fb then
+      (ma.value lxor mb.value) land ma.mask land mb.mask = 0 && fields_overlap ra rb
+    else if field_order fa < field_order fb then fields_overlap ra b
+    else fields_overlap a rb
+
+let subset a b = port_subset a.in_port b.in_port && fields_subset a.fields b.fields
 
 let port_overlap a b =
   match a, b with
   | None, _ | _, None -> true
   | Some pa, Some pb -> pa = pb
 
-let overlaps a b =
-  port_overlap a.in_port b.in_port && Hspace.Tern.overlaps (to_tern a) (to_tern b)
+let overlaps a b = port_overlap a.in_port b.in_port && fields_overlap a.fields b.fields
 
-let equal a b = subset a b && subset b a
+let port_equal a b =
+  match a, b with
+  | None, None -> true
+  | Some pa, Some pb -> pa = pb
+  | None, Some _ | Some _, None -> false
+
+let equal a b = port_equal a.in_port b.in_port && fields_equal a.fields b.fields
+
+(* FNV-1a over whole words rather than bytes: one multiply per word. *)
+let fnv_offset = Int64.to_int 0xCBF29CE484222325L
+
+let fnv_prime = 0x100000001B3
+
+let mix h word = (h lxor word) * fnv_prime
+
+let hash t =
+  let h =
+    match t.in_port with None -> mix fnv_offset 0 | Some p -> mix (mix fnv_offset 1) p
+  in
+  List.fold_left
+    (fun h (f, { value; mask }) -> mix (mix (mix h (field_order f)) value) mask)
+    (mix h (List.length t.fields))
+    t.fields
 
 let pp fmt t =
   let pp_port fmt = function

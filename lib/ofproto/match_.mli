@@ -40,7 +40,8 @@ val matches : t -> in_port:int -> Hspace.Header.t -> bool
 val to_tern : t -> Hspace.Tern.t
 
 (** [subset a b] is true when every (port, header) matched by [a] is
-    matched by [b]. *)
+    matched by [b].  Like {!overlaps} and {!equal} it walks the two
+    canonical field lists once and builds no cube. *)
 val subset : t -> t -> bool
 
 (** [overlaps a b] is true when some (port, header) is matched by both. *)
@@ -48,5 +49,9 @@ val overlaps : t -> t -> bool
 
 (** [equal a b] is semantic equality of the match predicates. *)
 val equal : t -> t -> bool
+
+(** [hash t] is a word-wise FNV-1a hash of the canonical constraints:
+    [equal a b] implies [hash a = hash b]. *)
+val hash : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -74,47 +74,36 @@ let check_answer policy (a : Query.answer) =
 
 (* ---- history-based drift detection ---- *)
 
-type baseline = {
-  per_switch : (int, string list) Hashtbl.t; (* sorted fingerprints *)
-  digest : int64;
-}
-
-let fingerprint spec = Format.asprintf "%a" Ofproto.Flow_entry.pp_spec spec
+(* The baseline as a snapshot: its rules answer event checks, and its
+   per-switch digests come from the one digest function the monitor's
+   polls record. *)
+type baseline = Snapshot.t
 
 let baseline_of_flows flows =
-  let per_switch = Hashtbl.create 16 in
-  List.iter
-    (fun (sw, specs) ->
-      Hashtbl.replace per_switch sw (List.sort String.compare (List.map fingerprint specs)))
-    flows;
-  let lines =
-    List.concat_map
-      (fun (sw, specs) -> List.map (fun s -> string_of_int sw ^ "|" ^ fingerprint s) specs)
-      flows
-  in
-  let digest = Cryptosim.Hash.digest (String.concat "\n" (List.sort String.compare lines)) in
-  { per_switch; digest }
+  let base = Snapshot.create () in
+  List.iter (fun (sw, specs) -> Snapshot.replace_flows base ~sw ~now:0.0 specs) flows;
+  base
 
-let in_baseline baseline sw spec =
-  match Hashtbl.find_opt baseline.per_switch sw with
-  | None -> false
-  | Some fps -> List.mem (fingerprint spec) fps
+let in_baseline base sw spec =
+  List.exists (Ofproto.Flow_entry.spec_equal spec) (Snapshot.flows base ~sw)
 
-let check_history baseline entries =
+let check_history base entries =
+  let rule spec = Format.asprintf "%a" Ofproto.Flow_entry.pp_spec spec in
   List.filter_map
     (fun { Monitor.at; sw; what } ->
       let drift detail = Some (Config_drift { at; sw; detail }) in
       match what with
       | Monitor.Event (Ofproto.Message.Flow_added spec)
       | Monitor.Event (Ofproto.Message.Flow_modified spec) ->
-        if in_baseline baseline sw spec then None
-        else drift (Printf.sprintf "unexpected rule: %s" (fingerprint spec))
+        if in_baseline base sw spec then None
+        else drift (Printf.sprintf "unexpected rule: %s" (rule spec))
       | Monitor.Event (Ofproto.Message.Flow_deleted spec) | Monitor.Removed spec ->
-        if in_baseline baseline sw spec then
-          drift (Printf.sprintf "baseline rule removed: %s" (fingerprint spec))
+        if in_baseline base sw spec then
+          drift (Printf.sprintf "baseline rule removed: %s" (rule spec))
         else None
       | Monitor.Poll { digest; _ } ->
-        if Int64.equal digest baseline.digest then None
+        (* A switch the baseline never listed compares as empty. *)
+        if Int64.equal digest (Snapshot.flows_digest (Snapshot.flows base ~sw)) then None
         else drift "poll snapshot diverges from baseline")
     entries
 

@@ -48,15 +48,20 @@ val default_policy : own_points:(int * int) list -> policy
 (** [check_answer policy answer] returns alarms raised by one answer. *)
 val check_answer : policy -> Query.answer -> alarm list
 
-(** [baseline_of_flows flows] fingerprints a believed-good
-    configuration: a list of (switch, rule list) pairs. *)
+(** A believed-good configuration to compare history against. *)
 type baseline
 
+(** [baseline_of_flows flows] records a believed-good configuration: a
+    list of (switch, rule list) pairs, each taken in as a stats reply
+    into a {!Snapshot}, so its per-switch digests are the ones
+    {!Monitor.Poll} records. *)
 val baseline_of_flows : (int * Ofproto.Flow_entry.spec list) list -> baseline
 
 (** [check_history baseline history] returns drift alarms: monitor
-    events or polls that show rules beyond (or missing from) the
-    baseline. *)
+    events that add rules beyond the baseline or remove baseline
+    rules, and polls whose switch digest differs from the baseline's
+    digest for that switch (a switch the baseline does not list
+    compares against an empty table). *)
 val check_history : baseline -> Monitor.history_entry list -> alarm list
 
 (** [describe alarm] is a one-line rendering. *)

@@ -46,7 +46,7 @@ type t = {
   mutable poll_retries : int;
   mutable polling_active : bool;
   mutable wiring : wiring_run option;
-  mutable snapshot_change_hooks : (sw:int -> changed:bool -> unit) list;
+  mutable observation_hooks : (sw:int -> observation -> changed:bool -> unit) list;
   mutable last_echo : float option;
 }
 
@@ -54,18 +54,6 @@ type t = {
 let max_poll_attempts = 3
 
 let now t = Netsim.Sim.now (Netsim.Net.sim t.net)
-
-let record t ~sw what =
-  Support.Ring.push t.history { at = now t; sw; what }
-
-(* Hooks fire on every observation touching [sw], with [changed]
-   telling listeners whether the believed table actually differs
-   (digest comparison around the mutation).  Unchanged observations —
-   e.g. a poll confirming the current view — must still fire: the
-   service's intercept repair is poll-driven and has to run even when
-   nothing changed, while cache invalidation keys off [changed]. *)
-let snapshot_changed t ~sw ~changed =
-  List.iter (fun f -> f ~sw ~changed) t.snapshot_change_hooks
 
 (* Every snapshot mutation is journalled before recovery can need it;
    the journal itself decides when to image a checkpoint. *)
@@ -102,28 +90,39 @@ let handle_probe t ~sw ~in_port ~payload =
             (origin_sw, origin_port, sw, in_port) :: run.run_misdelivered)
     | _ -> ())
 
+(* One observation of [sw], after the snapshot took it in: history,
+   journal, then the hooks.  Hooks fire on every observation, with
+   [changed] telling listeners whether the believed table actually
+   differs (digest comparison around the mutation).  Unchanged
+   observations — e.g. a poll confirming the current view — must still
+   fire: the service's intercept repair is poll-driven and has to run
+   even when nothing changed, while cache invalidation keys off
+   [changed]. *)
+let observed t ~sw ~before what record =
+  let changed = not (Int64.equal (Snapshot.switch_digest t.snapshot ~sw) before) in
+  Support.Ring.push t.history { at = now t; sw; what };
+  journal_record t record;
+  List.iter (fun f -> f ~sw what ~changed) t.observation_hooks
+
 let handle_message t (msg : Ofproto.Message.to_controller) =
   match msg with
   | Ofproto.Message.Monitor { sw; event } ->
     t.events_seen <- t.events_seen + 1;
     let before = Snapshot.switch_digest t.snapshot ~sw in
     Snapshot.apply_event t.snapshot ~sw ~now:(now t) event;
-    record t ~sw (Event event);
-    journal_record t (Journal.Observation { sw; event });
-    snapshot_changed t ~sw ~changed:(Snapshot.switch_digest t.snapshot ~sw <> before)
+    observed t ~sw ~before (Event event) (Journal.Observation { sw; event })
   | Ofproto.Message.Flow_removed { sw; spec; _ } ->
     let before = Snapshot.switch_digest t.snapshot ~sw in
     Snapshot.apply_flow_removed t.snapshot ~sw ~now:(now t) spec;
-    record t ~sw (Removed spec);
-    journal_record t (Journal.Observation { sw; event = Ofproto.Message.Flow_deleted spec });
-    snapshot_changed t ~sw ~changed:(Snapshot.switch_digest t.snapshot ~sw <> before)
+    observed t ~sw ~before (Removed spec)
+      (Journal.Observation { sw; event = Ofproto.Message.Flow_deleted spec })
   | Ofproto.Message.Flow_stats_reply { sw; xid; flows } ->
     Hashtbl.remove t.outstanding xid;
     let before = Snapshot.switch_digest t.snapshot ~sw in
     Snapshot.replace_flows t.snapshot ~sw ~now:(now t) flows;
-    record t ~sw (Poll { flows = List.length flows; digest = Snapshot.digest t.snapshot });
-    journal_record t (Journal.Flows_polled { sw; flows });
-    snapshot_changed t ~sw ~changed:(Snapshot.switch_digest t.snapshot ~sw <> before)
+    observed t ~sw ~before
+      (Poll { flows = List.length flows; digest = Snapshot.switch_digest t.snapshot ~sw })
+      (Journal.Flows_polled { sw; flows })
   | Ofproto.Message.Meter_stats_reply { sw; xid; meters } ->
     Hashtbl.remove t.outstanding xid;
     Snapshot.replace_meters t.snapshot ~sw meters;
@@ -221,7 +220,7 @@ let create net ~conn_delay ?(loss_prob = 0.0) ?faults ?poll_retry
       poll_retries = 0;
       polling_active = true;
       wiring = None;
-      snapshot_change_hooks = [];
+      observation_hooks = [];
       last_echo = None;
     }
   in
@@ -300,7 +299,9 @@ let conn t = t.conn
 
 let set_packet_in_handler t f = t.packet_in_handler <- f
 
-let on_snapshot_change t f = t.snapshot_change_hooks <- f :: t.snapshot_change_hooks
+let on_observation t f = t.observation_hooks <- f :: t.observation_hooks
+
+let on_snapshot_change t f = on_observation t (fun ~sw _ ~changed -> f ~sw ~changed)
 
 let history t = Support.Ring.to_list t.history
 

@@ -23,7 +23,8 @@ type polling =
 type observation =
   | Event of Ofproto.Message.monitor_event  (** passive, per switch *)
   | Poll of { flows : int; digest : int64 }
-      (** active: polled rule count and snapshot digest *)
+      (** active: polled rule count and the polled switch's
+          {!Snapshot.switch_digest} after the reply *)
   | Removed of Ofproto.Flow_entry.spec
 
 type history_entry = { at : float; sw : int; what : observation }
@@ -82,6 +83,11 @@ val set_packet_in_handler :
     must run on unchanged polls too — while verifier and reach-cache
     invalidation key off [changed]. *)
 val on_snapshot_change : t -> (sw:int -> changed:bool -> unit) -> unit
+
+(** [on_observation t f] is {!on_snapshot_change} that also passes the
+    observation itself, as recorded in {!history}: what evidence about
+    [sw] arrived (a monitor event, a poll, a Flow-Removed). *)
+val on_observation : t -> (sw:int -> observation -> changed:bool -> unit) -> unit
 
 (** [history t] returns observations, oldest first. *)
 val history : t -> history_entry list

@@ -129,6 +129,9 @@ type t = {
       (* the compiled engine, present iff [engine = `Compiled]: reach
          questions become graph lookups, maintained incrementally by
          the snapshot-change hook *)
+  intercepts_sent : (int, (Ofproto.Flow_entry.spec * float) list) Hashtbl.t;
+      (* per switch: intercept installs in flight (sent, not yet in
+         the believed table) with their send times *)
 }
 
 let code_identity = "rvaas-service-v1"
@@ -1003,43 +1006,63 @@ let handle_packet_in t ~sw ~in_port ~header ~payload =
   else if dst_port = Wire.auth_reply_port then
     handle_auth_reply t ~sw ~in_port ~header ~payload
 
+let same_slot (a : Ofproto.Flow_entry.spec) (b : Ofproto.Flow_entry.spec) =
+  a.cookie = b.cookie && a.priority = b.priority && Ofproto.Match_.equal a.match_ b.match_
+
+let send_intercept t ~sw spec =
+  Netsim.Net.send t.net (Monitor.conn t.monitor) ~sw
+    (Ofproto.Message.Flow_mod (Ofproto.Message.Add_flow spec))
+
 let install_intercepts t =
-  let conn = Monitor.conn t.monitor in
+  let sent_at = now t in
   List.iter
     (fun sw ->
-      List.iter
-        (fun spec ->
-          Netsim.Net.send t.net conn ~sw
-            (Ofproto.Message.Flow_mod (Ofproto.Message.Add_flow spec)))
-        (Wire.intercept_specs ()))
+      let specs = Wire.intercept_specs () in
+      List.iter (send_intercept t ~sw) specs;
+      Hashtbl.replace t.intercepts_sent sw (List.map (fun spec -> (spec, sent_at)) specs))
     (Netsim.Topology.switches (topo t))
 
 (* The intercept Flow_mods travel the same faulty channel as every
    other control message; a lost Add_flow would leave that switch
    permanently blind to client requests and auth replies — a failure
-   mode no protocol-level retry can recover from.  So whenever the
-   believed configuration of a switch changes (monitor event or poll),
-   any intercept entry it is missing is re-sent; installs are
-   idempotent (same match + priority replaces), and the next poll
-   re-checks, so repair converges even when the repair itself is
-   lost. *)
-let repair_intercepts t ~sw =
+   mode no protocol-level retry can recover from.  So every
+   observation of a switch checks its believed table for the
+   intercepts, and a missing one is re-sent unless an install of it is
+   already in flight.  An in-flight install counts as lost — and is
+   re-sent — only on evidence: a poll that still lacks it, its own
+   deletion, or any observation a control round trip ([auth_timeout])
+   after it was sent.  The in-flight rule matters at set-up, where the
+   provider's rule events reach the monitor before the service's own
+   install is observed.  Installs are idempotent (same match + priority
+   replaces), and the next poll re-checks, so repair converges even
+   when the repair itself is lost. *)
+let repair_intercepts t ~sw (what : Monitor.observation) =
   let flows = Snapshot.flows (Monitor.snapshot t.monitor) ~sw in
-  List.iter
-    (fun (spec : Ofproto.Flow_entry.spec) ->
-      let present =
-        List.exists
-          (fun (e : Ofproto.Flow_entry.spec) ->
-            e.cookie = spec.cookie && e.priority = spec.priority
-            && Ofproto.Match_.equal e.match_ spec.match_)
-          flows
-      in
-      if not present then begin
-        t.stats.intercepts_reinstalled <- t.stats.intercepts_reinstalled + 1;
-        Netsim.Net.send t.net (Monitor.conn t.monitor) ~sw
-          (Ofproto.Message.Flow_mod (Ofproto.Message.Add_flow spec))
-      end)
-    (Wire.intercept_specs ())
+  let sent = Option.value ~default:[] (Hashtbl.find_opt t.intercepts_sent sw) in
+  let now = now t in
+  let lost spec sent_at =
+    match what with
+    | Monitor.Poll _ -> true
+    | Monitor.Event (Ofproto.Message.Flow_deleted d) | Monitor.Removed d
+      when same_slot d spec ->
+      true
+    | Monitor.Event _ | Monitor.Removed _ -> now -. sent_at >= t.auth_timeout
+  in
+  let in_flight =
+    List.filter_map
+      (fun spec ->
+        if List.exists (same_slot spec) flows then None
+        else
+          match List.find_opt (fun (s, _) -> same_slot s spec) sent with
+          | Some (_, sent_at) when not (lost spec sent_at) -> Some (spec, sent_at)
+          | Some _ | None ->
+            t.stats.intercepts_reinstalled <- t.stats.intercepts_reinstalled + 1;
+            send_intercept t ~sw spec;
+            Some (spec, now))
+      (Wire.intercept_specs ())
+  in
+  if in_flight = [] then Hashtbl.remove t.intercepts_sent sw
+  else Hashtbl.replace t.intercepts_sent sw in_flight
 
 let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
     ?(engine : Plumbing.engine = `Sweep) ?(frontend = Frontend.default_config) net
@@ -1090,6 +1113,7 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
           (Netsim.Net.topology net);
       pool = (match pool with Some p -> p | None -> Support.Pool.global ());
       cache = Reach_cache.create ~capacity:cache_capacity ();
+      intercepts_sent = Hashtbl.create 64;
       plumbing =
         (match engine with
         | `Sweep -> None
@@ -1105,7 +1129,7 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
                (Netsim.Net.topology net)));
     }
   in
-  Monitor.on_snapshot_change monitor (fun ~sw ~changed ->
+  Monitor.on_observation monitor (fun ~sw what ~changed ->
       if changed then begin
         Verifier.invalidate_switch t.ctx ~sw;
         (* Delta invalidation: only entries whose reach pass traversed
@@ -1122,7 +1146,7 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
       (* Intercept repair runs on every observation, changed or not:
          it is poll-driven and must converge even when the repair
          Flow-Mod itself was lost (see [repair_intercepts]). *)
-      repair_intercepts t ~sw);
+      repair_intercepts t ~sw what);
   Monitor.set_packet_in_handler monitor (fun ~sw ~in_port ~header ~payload ->
       handle_packet_in t ~sw ~in_port ~header ~payload);
   install_intercepts t;

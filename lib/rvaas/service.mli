@@ -42,8 +42,10 @@ type stats = {
   mutable answers_sent : int;
   mutable intercepts_reinstalled : int;
       (** intercept flow entries re-sent after the monitored snapshot
-          showed them missing (the original Add_flow was lost on a
-          faulty channel) *)
+          showed them missing with no install of them in flight, or
+          with evidence the in-flight install was lost (a poll still
+          lacking it, its deletion, or an observation [auth_timeout]
+          after it was sent) *)
   mutable queries_reissued : int;
       (** in-flight queries re-driven after a crash or failover *)
   mutable sweep_faults : int;

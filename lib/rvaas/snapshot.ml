@@ -45,13 +45,24 @@ let apply_event t ~sw ~now event =
 let apply_flow_removed t ~sw ~now spec =
   apply_event t ~sw ~now (Ofproto.Message.Flow_deleted spec)
 
+let rec same_specs (entries : Ofproto.Flow_entry.t list) specs =
+  match entries, specs with
+  | [], [] -> true
+  | e :: entries, spec :: specs ->
+    (e.spec == spec || e.spec = spec) && same_specs entries specs
+  | [], _ :: _ | _ :: _, [] -> false
+
+(* A reply that confirms the view, the common case on a quiet network,
+   moves only the refresh time: the table, its entries and both digest
+   memos stay as they are. *)
 let replace_flows t ~sw ~now specs =
   let v = view t sw in
   v.refreshed <- now;
-  v.table_digest <- None;
-  t.global_digest <- None;
-  Ofproto.Flow_table.clear v.table;
-  List.iter (fun spec -> Ofproto.Flow_table.add v.table spec ~now) specs
+  if not (same_specs (Ofproto.Flow_table.entries v.table) specs) then begin
+    v.table_digest <- None;
+    t.global_digest <- None;
+    Ofproto.Flow_table.replace v.table specs ~now
+  end
 
 let replace_meters t ~sw meters =
   let v = view t sw in
@@ -77,7 +88,9 @@ let last_refresh t ~sw =
 let age t ~now =
   Hashtbl.fold (fun _ v acc -> Float.max acc (now -. v.refreshed)) t.views 0.0
 
-let spec_fingerprint spec = Format.asprintf "%a" Ofproto.Flow_entry.pp_spec spec
+let flows_digest specs =
+  Int64.of_int
+    (List.fold_left Ofproto.Flow_entry.hash_into (Int64.to_int 0xCBF29CE484222325L) specs)
 
 let switch_digest t ~sw =
   match Hashtbl.find_opt t.views sw with
@@ -86,8 +99,7 @@ let switch_digest t ~sw =
     match v.table_digest with
     | Some d -> d
     | None ->
-      let lines = List.map spec_fingerprint (Ofproto.Flow_table.specs v.table) in
-      let d = Cryptosim.Hash.digest (String.concat "\n" lines) in
+      let d = flows_digest (Ofproto.Flow_table.specs v.table) in
       v.table_digest <- Some d;
       d)
 
@@ -162,7 +174,15 @@ let of_bytes s =
       Ok t
     with Codec.Bin.Malformed msg -> Error ("Snapshot.of_bytes: " ^ msg)
 
-let multiset specs = List.sort String.compare (List.map spec_fingerprint specs)
+(* Canonical matches compare structurally exactly when they are
+   semantically equal, so sorting these projections compares the rule
+   multisets under [Flow_entry.spec_equal]. *)
+let multiset specs =
+  List.sort compare
+    (List.map
+       (fun (s : Ofproto.Flow_entry.spec) ->
+         (s.priority, s.cookie, s.meter, s.match_, s.actions))
+       specs)
 
 let divergence t ~actual =
   List.fold_left

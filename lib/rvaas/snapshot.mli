@@ -17,7 +17,9 @@ val apply_event : t -> sw:int -> now:float -> Ofproto.Message.monitor_event -> u
 val apply_flow_removed : t -> sw:int -> now:float -> Ofproto.Flow_entry.spec -> unit
 
 (** [replace_flows t ~sw ~now specs] replaces the whole view of [sw]
-    with a polled flow-stats reply. *)
+    with a polled flow-stats reply.  A reply listing exactly the
+    believed rules, in table order, only moves {!last_refresh}; any
+    other reply rebuilds the view in one sort and one pass. *)
 val replace_flows : t -> sw:int -> now:float -> Ofproto.Flow_entry.spec list -> unit
 
 (** [replace_meters t ~sw meters] replaces the believed meter table. *)
@@ -44,16 +46,27 @@ val last_refresh : t -> sw:int -> float
     the staleness bound reported to clients. *)
 val age : t -> now:float -> float
 
-(** [digest t] is a configuration fingerprint: equal digests ⇔ equal
-    believed rule sets (used by the history store). *)
+(** [digest t] is a whole-configuration fingerprint composed from the
+    per-switch digests: equal digests ⇔ equal believed rule sets
+    (recovery parity checks compare it; polls record
+    {!switch_digest} instead). *)
 val digest : t -> int64
 
 (** [switch_digest t ~sw] is a fingerprint of [sw]'s believed rule list
-    alone (0 when never heard of).  Memoised per view and recomputed
-    lazily after the next mutation of that switch, so querying it for
-    every switch between reconfigurations is cheap — the key material
-    of the incremental result cache ({!Reach_cache}). *)
+    alone: {!flows_digest} of {!flows} (0 when never heard of).
+    Memoised per view and recomputed lazily, in one pass over that
+    switch's rules, after the next mutation of that switch — the key
+    material of the incremental result cache ({!Reach_cache}) and the
+    digest a {!Monitor.Poll} records. *)
 val switch_digest : t -> sw:int -> int64
+
+(** [flows_digest specs] is the order-sensitive rule-list fingerprint
+    behind {!switch_digest}: a word-wise FNV-1a fold of
+    {!Ofproto.Flow_entry.hash_into} over [specs], rendering nothing.
+    Lists equal rule by rule under {!Ofproto.Flow_entry.spec_equal}
+    digest equally; [flows_digest []] is the digest of an existing
+    empty view. *)
+val flows_digest : Ofproto.Flow_entry.spec list -> int64
 
 (** [digest_vector t] is [(sw, switch_digest)] for every monitored
     switch, ascending: the per-switch configuration version vector. *)

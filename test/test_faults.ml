@@ -248,6 +248,53 @@ let test_service_intercept_repair () =
   check Alcotest.bool "repairs counted" true
     ((Rvaas.Service.stats s.service).intercepts_reinstalled >= 2)
 
+(* Provider events that overtake the service's own intercept install
+   at set-up must not re-send it: with the install still in flight,
+   set-up puts exactly one install per intercept and switch on the
+   wire next to the provider's rules. *)
+let test_service_no_intercept_storm () =
+  List.iter
+    (fun topo ->
+      let s = Workload.Scenario.build (spec_with topo (fun d -> d)) in
+      let switches = List.length (Netsim.Topology.switches topo) in
+      check Alcotest.int "provider rules + 2 intercepts per switch"
+        (Sdnctl.Provider.rule_count s.provider + (2 * switches))
+        (Netsim.Net.stats s.net).flow_mods;
+      check Alcotest.int "nothing re-installed" 0
+        (Rvaas.Service.stats s.service).intercepts_reinstalled)
+    [ Workload.Topogen.linear p 4; Workload.Topogen.fat_tree p ~k:4 ]
+
+(* The repair Flow-Mod is itself lost: the install stays in flight until
+   the next poll shows the intercepts still missing, which re-sends
+   them. *)
+let test_service_intercept_repair_lost () =
+  let topo = Workload.Topogen.linear p 4 in
+  let s = Workload.Scenario.build (spec_with topo (fun d -> d)) in
+  let sw = List.hd (Netsim.Topology.switches topo) in
+  let intercepts () =
+    List.filter
+      (fun (e : Ofproto.Flow_entry.spec) -> e.cookie = Rvaas.Wire.intercept_cookie)
+      (Workload.Scenario.actual_flows s sw)
+  in
+  let reinstalled () = (Rvaas.Service.stats s.service).intercepts_reinstalled in
+  let chaos = Netsim.Net.register_controller s.net ~name:"chaos" ~delay:1e-3 () in
+  Netsim.Net.attach s.net chaos ~sw ~monitor:false;
+  let t0 = Netsim.Sim.now (Netsim.Net.sim s.net) in
+  Netsim.Net.send s.net chaos ~sw
+    (Ofproto.Message.Flow_mod (Ofproto.Message.Delete_by_cookie Rvaas.Wire.intercept_cookie));
+  (* The deletion lands at t0+1ms and is observed at t0+2ms, when the
+     repair goes out; cut the session before it lands at t0+3ms. *)
+  Workload.Scenario.run s ~until:(t0 +. 0.0025);
+  check Alcotest.int "repair sent on the deletions" 2 (reinstalled ());
+  let conn = Rvaas.Monitor.conn s.monitor in
+  Netsim.Net.disconnect s.net conn;
+  Workload.Scenario.run s ~until:(t0 +. 0.0035);
+  Netsim.Net.reconnect s.net conn;
+  check Alcotest.int "repair lost" 0 (List.length (intercepts ()));
+  Workload.Scenario.run s ~until:(t0 +. 0.3);
+  check Alcotest.int "intercepts repaired" 2 (List.length (intercepts ()));
+  check Alcotest.bool "lost repair re-sent" true (reinstalled () >= 4)
+
 (* ---- Monitor: poll retry and distinct xids ---- *)
 
 let test_monitor_poll_retry () =
@@ -456,6 +503,10 @@ let () =
           Alcotest.test_case "retry stack recovers under loss" `Quick
             test_retry_stack_recovers_under_loss;
           Alcotest.test_case "intercept repair" `Quick test_service_intercept_repair;
+          Alcotest.test_case "no intercept storm at set-up" `Quick
+            test_service_no_intercept_storm;
+          Alcotest.test_case "lost intercept repair converges" `Quick
+            test_service_intercept_repair_lost;
         ] );
       ( "monitor",
         [

@@ -234,6 +234,27 @@ let test_transient_attack_in_history () =
   check Alcotest.bool "history shows config drift" true
     (List.exists (function Rvaas.Detector.Config_drift _ -> true | _ -> false) alarms)
 
+(* ---- benign history: polls that confirm the baseline are quiet ---- *)
+
+let test_benign_polls_no_drift () =
+  let topo = Workload.Topogen.linear Workload.Topogen.default_params 3 in
+  let s =
+    Workload.Scenario.build
+      { (Workload.Scenario.default_spec topo) with polling = Rvaas.Monitor.Periodic 0.1 }
+  in
+  let baseline = Workload.Scenario.baseline s in
+  let now = Netsim.Sim.now (Netsim.Net.sim s.net) in
+  Workload.Scenario.run s ~until:(now +. 1.5);
+  let history = Rvaas.Monitor.history s.monitor in
+  let polls =
+    List.filter (fun (e : Rvaas.Monitor.history_entry) ->
+        match e.what with Rvaas.Monitor.Poll _ -> true | _ -> false)
+      history
+  in
+  check Alcotest.bool "polls recorded" true (List.length polls >= 30);
+  check Alcotest.int "no drift on a benign history" 0
+    (List.length (Rvaas.Detector.check_history baseline history))
+
 (* ---- exact agreement: for random configurations and concrete
    headers, the set of hosts the verifier predicts equals the set of
    hosts the simulator delivers to ---- *)
@@ -385,6 +406,7 @@ let () =
           Alcotest.test_case "counting defence" `Quick test_counting_defence;
           Alcotest.test_case "transient attack in history" `Quick
             test_transient_attack_in_history;
+          Alcotest.test_case "benign polls raise no drift" `Quick test_benign_polls_no_drift;
           Alcotest.test_case "geo query" `Quick test_geo_query;
         ] );
     ]
