@@ -1263,45 +1263,63 @@ let e16 () =
 (* E17: durable persistence — compaction, recovery latency, quorum   *)
 (* ---------------------------------------------------------------- *)
 
+(* A fresh directory path (not yet created) for a segmented store. *)
+let store_tmp_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
+
+let store_rm_rf dir =
+  if Sys.file_exists dir && Sys.is_directory dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
 (* One monitored run of [duration] simulated seconds with the journal
-   mirrored to a temp file; returns (entries, file bytes, recover µs,
-   digest parity with the live snapshot). *)
+   mirrored to a segmented store (default config); returns (entries,
+   bytes on disk, recover µs, digest parity with the live
+   snapshot). *)
 let e17_persistence_run ~seed ~duration ~auto_compact =
   let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
-  let s =
-    Workload.Scenario.build
-      {
-        (Workload.Scenario.default_spec topo) with
-        seed;
-        polling = Rvaas.Monitor.Periodic 0.02;
-        ha =
-          Some
-            {
-              Rvaas.Failover.default_config with
-              checkpoint_every = 32;
-              auto_compact;
-            };
-      }
-  in
-  let ctrl = Workload.Scenario.controller s in
-  let log = Rvaas.Journal.log (Rvaas.Failover.journal ctrl) in
-  let path = Filename.temp_file "rvaas_e17" ".rvjl" in
+  let dir = store_tmp_dir "rvaas_e17" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".tmp" ])
+    ~finally:(fun () -> store_rm_rf dir)
     (fun () ->
-      let file = Support.Journal_file.attach log ~path in
+      let s =
+        Workload.Scenario.build
+          {
+            (Workload.Scenario.default_spec topo) with
+            seed;
+            polling = Rvaas.Monitor.Periodic 0.02;
+            ha =
+              Some
+                {
+                  Rvaas.Failover.default_config with
+                  checkpoint_every = 32;
+                  auto_compact;
+                };
+            persist =
+              Some
+                {
+                  Workload.Scenario.p_dir = dir;
+                  p_segment_bytes = Support.Segment_store.default_config.segment_bytes;
+                  p_encrypt = false;
+                };
+          }
+      in
       Workload.Scenario.run s ~until:duration;
-      Support.Journal_file.sync file;
-      let bytes = (Unix.stat path).Unix.st_size in
+      Support.Segment_store.sync (Workload.Scenario.store s);
+      let bytes =
+        Array.fold_left
+          (fun acc f -> acc + (Unix.stat (Filename.concat dir f)).Unix.st_size)
+          0 (Sys.readdir dir)
+      in
       let live =
         Rvaas.Snapshot.digest_vector
           (Rvaas.Monitor.snapshot (Workload.Scenario.monitor s))
       in
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> failwith ("E17: recover_from_file: " ^ e)
+      match Support.Segment_store.recover_from_dir dir with
+      | Error e -> failwith ("E17: recover_from_dir: " ^ e)
       | Ok log' ->
         let t0 = Unix.gettimeofday () in
         let reps = 20 in
@@ -1346,8 +1364,8 @@ let e17_takeover_trial ~seed ~standbys =
 let e17 () =
   section
     "E17: durable persistence (linear-4, 20 ms polling, checkpoint every 32).\n\
-     (a) on-disk journal growth and recovery latency with compaction off vs\n\
-     on; (b) takeover latency with 1 vs 3 warm standbys (journalled-claim\n\
+     (a) segmented-store growth on disk and recovery latency with compaction\n\
+     off vs on; (b) takeover latency with 1 vs 3 warm standbys (journalled-claim\n\
      quorum election, 10 ms heartbeats, 50 ms takeover timeout)";
   let strict = Sys.getenv_opt "RVAAS_E17_STRICT" <> None in
   let failures = ref 0 in
@@ -1376,7 +1394,7 @@ let e17 () =
    with
   | Some on, Some off when strict && on >= off ->
     incr failures;
-    Printf.printf "E17 strict: compaction did not shrink the image (%d >= %d)\n"
+    Printf.printf "E17 strict: compaction did not shrink the store (%d >= %d)\n"
       on off
   | _ -> ());
   Printf.printf "%-5s %8s | %10s %10s %6s %4s\n" "seed" "standbys" "detect(ms)"
@@ -2218,17 +2236,6 @@ let e20 () =
 (* quorum elections, encryption-at-rest                              *)
 (* ---------------------------------------------------------------- *)
 
-let e21_rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let e21_tmp_dir () =
-  let dir = Filename.temp_file "rvaas_e21" "" in
-  Sys.remove dir;
-  dir
-
 let e21_read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -2393,9 +2400,9 @@ let e21 () =
   let bytes_by_mode = Hashtbl.create 4 in
   List.iter
     (fun auto_compact ->
-      let dir = e21_tmp_dir () in
+      let dir = store_tmp_dir "rvaas_e21" in
       Fun.protect
-        ~finally:(fun () -> e21_rm_rf dir)
+        ~finally:(fun () -> store_rm_rf dir)
         (fun () ->
           let s, store, live, _ =
             e21_store_run ~seed:42 ~duration:1.5 ~encrypt:false ~auto_compact
@@ -2494,9 +2501,9 @@ let e21 () =
     print_endline "E21 strict: no winner ever reconciled in-transit frames"
   end;
   (* -- (c) encryption-at-rest --------------------------------------- *)
-  let dir = e21_tmp_dir () in
+  let dir = store_tmp_dir "rvaas_e21" in
   Fun.protect
-    ~finally:(fun () -> e21_rm_rf dir)
+    ~finally:(fun () -> store_rm_rf dir)
     (fun () ->
       let _, store, live, key =
         e21_store_run ~seed:7 ~duration:1.0 ~encrypt:true ~auto_compact:false

@@ -514,35 +514,25 @@ let failover_cmd =
 
 (* ---- persist subcommand ---- *)
 
-let state_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "state" ] ~docv:"PATH" ~doc:"On-disk journal image (RVJL1).")
-
 let segmented_arg =
   Arg.(
-    value
+    required
     & opt (some string) None
     & info [ "segmented" ] ~docv:"DIR"
-        ~doc:
-          "Use the segmented journal store in $(docv) (sealed segments + \
-           active tail) instead of the monolithic $(b,--state) image.")
+        ~doc:"Segmented journal store in $(docv) (sealed segments + active tail).")
 
 let segment_bytes_arg =
   Arg.(
     value & opt int 4096
-    & info [ "segment-bytes" ] ~docv:"BYTES"
-        ~doc:"Seal segments at this size (segmented store only).")
+    & info [ "segment-bytes" ] ~docv:"BYTES" ~doc:"Seal segments at this size.")
 
 let encrypt_arg =
   Arg.(
     value & flag
     & info [ "encrypt" ]
         ~doc:
-          "Encrypt journal frames at rest (segmented store only). The key \
-           derives from the service keypair, hence from $(b,--seed); pass the \
-           same seed to $(b,recover).")
+          "Encrypt journal frames at rest. The key derives from the service \
+           keypair, hence from $(b,--seed); pass the same seed to $(b,recover).")
 
 let duration_arg =
   Arg.(
@@ -555,26 +545,15 @@ let phase_arg =
     required
     & pos 0 (some (enum [ ("run", `Run); ("recover", `Recover) ])) None
     & info [] ~docv:"PHASE"
-        ~doc:"$(b,run) journals a monitored deployment to --state and exits \
-              abruptly; $(b,recover), in a later process, rebuilds the \
-              controller state from the file alone.")
+        ~doc:"$(b,run) journals a monitored deployment to the --segmented \
+              store and exits abruptly; $(b,recover), in a later process, \
+              rebuilds the controller state from the directory alone.")
 
 let digest_lines snapshot =
   Rvaas.Snapshot.digest_vector snapshot
   |> List.map (fun (sw, d) -> Printf.sprintf "  switch %d digest %Lx" sw d)
 
 let persist_cmd =
-  let report_recovery ~src log =
-    let r = Rvaas.Journal.recover log in
-    Printf.printf
-      "recovered %d verified entries from %s (generation %d, %d mutations \
-       replayed over the last checkpoint, %d open queries)\n"
-      (List.length (Support.Journal.valid_prefix log))
-      src r.Rvaas.Journal.generation r.Rvaas.Journal.replayed
-      (List.length r.Rvaas.Journal.open_queries);
-    List.iter print_endline (digest_lines r.Rvaas.Journal.snapshot);
-    0
-  in
   (* The at-rest key derives from the service keypair, which derives
      from the seeded rng: rebuilding the scenario (sans persistence)
      with the same topology and seed re-derives the key — the
@@ -587,23 +566,10 @@ let persist_cmd =
     in
     Workload.Scenario.storage_key s
   in
-  let run phase kind size seed path duration segmented segment_bytes encrypt =
-    match (phase, segmented, path) with
-    | `Run, None, None | `Recover, None, None ->
-      prerr_endline "persist: need --state PATH or --segmented DIR";
-      2
-    | `Run, _, _ ->
+  let run phase kind size seed duration dir segment_bytes encrypt =
+    match phase with
+    | `Run ->
       let topo = make_topo kind size in
-      let persist =
-        Option.map
-          (fun dir ->
-            {
-              Workload.Scenario.p_dir = dir;
-              p_segment_bytes = segment_bytes;
-              p_encrypt = encrypt;
-            })
-          segmented
-      in
       let s =
         Workload.Scenario.build
           {
@@ -611,43 +577,36 @@ let persist_cmd =
             seed;
             polling = Rvaas.Monitor.Periodic 0.02;
             ha = Some { Rvaas.Failover.default_config with auto_compact = true };
-            persist;
+            persist =
+              Some
+                {
+                  Workload.Scenario.p_dir = dir;
+                  p_segment_bytes = segment_bytes;
+                  p_encrypt = encrypt;
+                };
           }
       in
-      let ctrl = Workload.Scenario.controller s in
-      let log = Rvaas.Journal.log (Rvaas.Failover.journal ctrl) in
-      let file =
-        match segmented with
-        | Some _ -> None
-        | None -> Some (Support.Journal_file.attach log ~path:(Option.get path))
+      let log =
+        Rvaas.Journal.log (Rvaas.Failover.journal (Workload.Scenario.controller s))
       in
       Workload.Scenario.run s ~until:duration;
-      (match (segmented, file) with
-      | Some dir, _ ->
-        let store = Workload.Scenario.store s in
-        Printf.printf
-          "ran %.2f s of monitoring; journal: %d entries, %d bytes in %s (%d \
-           sealed + 1 active segment%s, %d seals, %d dropped by compaction)\n"
-          duration (Support.Journal.length log)
-          (Support.Segment_store.written_bytes store)
-          dir
-          (Support.Segment_store.sealed_count store)
-          (if encrypt then ", encrypted" else "")
-          (Support.Segment_store.seals store)
-          (Support.Segment_store.sealed_deleted store)
-      | None, Some file ->
-        Printf.printf
-          "ran %.2f s of monitoring; journal: %d entries, %d bytes at %s\n"
-          duration (Support.Journal.length log)
-          (Support.Journal_file.written_bytes file)
-          (Option.get path)
-      | None, None -> ());
+      let store = Workload.Scenario.store s in
+      Printf.printf
+        "ran %.2f s of monitoring; journal: %d entries, %d bytes in %s (%d \
+         sealed + 1 active segment%s, %d seals, %d dropped by compaction)\n"
+        duration (Support.Journal.length log)
+        (Support.Segment_store.written_bytes store)
+        dir
+        (Support.Segment_store.sealed_count store)
+        (if encrypt then ", encrypted" else "")
+        (Support.Segment_store.seals store)
+        (Support.Segment_store.sealed_deleted store);
       List.iter print_endline
         (digest_lines (Rvaas.Monitor.snapshot (Workload.Scenario.monitor s)));
       (* exit without closing anything: recovery must not depend on a
          graceful shutdown *)
       0
-    | `Recover, Some dir, _ -> (
+    | `Recover -> (
       let crypt =
         if encrypt then
           Some (Cryptosim.Atrest.crypt ~key:(rederive_key kind size seed))
@@ -657,25 +616,27 @@ let persist_cmd =
       | Error msg ->
         Printf.printf "recovery failed: %s\n" msg;
         1
-      | Ok log -> report_recovery ~src:dir log)
-    | `Recover, None, Some path -> (
-      match Support.Journal_file.recover_from_file path with
-      | Error msg ->
-        Printf.printf "recovery failed: %s\n" msg;
-        1
-      | Ok log -> report_recovery ~src:path log)
+      | Ok log ->
+        let r = Rvaas.Journal.recover log in
+        Printf.printf
+          "recovered %d verified entries from %s (generation %d, %d mutations \
+           replayed over the last checkpoint, %d open queries)\n"
+          (List.length (Support.Journal.valid_prefix log))
+          dir r.Rvaas.Journal.generation r.Rvaas.Journal.replayed
+          (List.length r.Rvaas.Journal.open_queries);
+        List.iter print_endline (digest_lines r.Rvaas.Journal.snapshot);
+        0)
   in
   Cmd.v
     (Cmd.info "persist"
        ~doc:
-         "Two-phase kill-and-restart: journal a deployment to disk (a \
-          monolithic image, or a segmented store with optional \
-          encryption-at-rest), then recover it in a fresh process. Matching \
-          digest vectors across the two phases demonstrate exact state \
-          recovery from the disk bytes alone.")
+         "Two-phase kill-and-restart: journal a deployment to a segmented \
+          store on disk, optionally encrypted at rest, then recover it in a \
+          fresh process. Matching digest vectors across the two phases \
+          demonstrate exact state recovery from the disk bytes alone.")
     Term.(
-      const run $ phase_arg $ topo_arg $ size_arg $ seed_arg $ state_arg
-      $ duration_arg $ segmented_arg $ segment_bytes_arg $ encrypt_arg)
+      const run $ phase_arg $ topo_arg $ size_arg $ seed_arg $ duration_arg
+      $ segmented_arg $ segment_bytes_arg $ encrypt_arg)
 
 let main =
   Cmd.group

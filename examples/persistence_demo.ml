@@ -1,16 +1,17 @@
 (* Durable persistence: survive a SIGKILL of the whole process.
 
-   PR 4's journal survived controller crashes inside one process; this
-   demo exercises the on-disk backends.  Round one uses the monolithic
-   image ([Support.Journal_file]); round two the segmented store with
-   encryption-at-rest ([Support.Segment_store] + [Cryptosim.Atrest]).
-   Each round: a child process runs a monitored deployment with its
-   journal mirrored to disk, records the digest vector of its live
-   snapshot, then kills itself with SIGKILL — no atexit, no flush, no
-   goodbye.  The parent recovers from the disk bytes alone (for the
-   encrypted store: re-deriving the storage key from the scenario
-   seed, the key-escrow stand-in) and checks that the recovered digest
-   vector matches the child's last-known state exactly.
+   The journal survives controller crashes inside one process; this
+   demo exercises the on-disk store ([Support.Segment_store]).  Round
+   one writes plaintext segments; round two encrypts them at rest
+   ([Cryptosim.Atrest]).  Each round: a child process runs a monitored
+   deployment with its journal mirrored to disk, records the digest
+   vector of its live snapshot, then kills itself with SIGKILL — no
+   atexit, no flush, no goodbye.  Segments seal and compaction unlinks
+   whole files while it runs.  The parent recovers from the disk bytes
+   alone (for the encrypted store: re-deriving the storage key from
+   the scenario seed, the key-escrow stand-in) and checks that the
+   recovered digest vector matches the child's last-known state
+   exactly.
 
    Run with:  dune exec examples/persistence_demo.exe *)
 
@@ -54,28 +55,43 @@ let build_scenario ~persist =
       persist;
     }
 
-(* [attach s] installs any extra backend right after build (before the
-   run) and returns a thunk describing the on-disk state. *)
-let child_run ~persist ~digest_path ~attach =
-  let s = build_scenario ~persist in
-  let describe = attach s in
+let child_run ~persist ~digest_path =
+  let s = build_scenario ~persist:(Some persist) in
   Workload.Scenario.run s ~until:1.0;
   let ctrl = Workload.Scenario.controller s in
   let log = Rvaas.Journal.log (Rvaas.Failover.journal ctrl) in
+  let store = Workload.Scenario.store s in
   let snapshot = Rvaas.Monitor.snapshot (Workload.Scenario.monitor s) in
   write_lines digest_path (digest_lines snapshot);
   Printf.printf
-    "child: ran 1 s of monitoring, %d journal entries (%s)\n\
+    "child: ran 1 s of monitoring, %d journal entries (%d bytes in %d sealed \
+     + 1 active%s segments, %d dropped by compaction)\n\
      child: digest vector written; dying by SIGKILL mid-flight\n%!"
-    (Support.Journal.length log) (describe ());
+    (Support.Journal.length log)
+    (Support.Segment_store.written_bytes store)
+    (Support.Segment_store.sealed_count store)
+    (if persist.Workload.Scenario.p_encrypt then " encrypted" else "")
+    (Support.Segment_store.sealed_deleted store);
   Unix.kill (Unix.getpid ()) Sys.sigkill
 
+(* Recover the store from disk alone.  For an encrypted store the
+   parent rebuilds the keypair from the same seed: the key-escrow
+   stand-in. *)
+let recover (persist : Workload.Scenario.persist) =
+  let crypt =
+    if persist.p_encrypt then
+      let key = Workload.Scenario.storage_key (build_scenario ~persist:None) in
+      Some (Cryptosim.Atrest.crypt ~key)
+    else None
+  in
+  Support.Segment_store.recover_from_dir ?crypt persist.p_dir
+
 (* Fork a child, let it die by SIGKILL, recover in the parent. *)
-let round ~name ~persist ~digest_path ~attach ~recover =
+let round ~name ~persist ~digest_path =
   Printf.printf "== %s ==\n%!" name;
   (match Unix.fork () with
   | 0 ->
-    child_run ~persist ~digest_path ~attach;
+    child_run ~persist ~digest_path;
     assert false (* SIGKILL does not return *)
   | pid -> (
     let _, status = Unix.waitpid [] pid in
@@ -85,7 +101,7 @@ let round ~name ~persist ~digest_path ~attach ~recover =
     | _ ->
       print_endline "parent: child did not die by SIGKILL — demo broken";
       exit 1);
-    match recover () with
+    match recover persist with
     | Error msg ->
       Printf.printf "parent: recovery failed: %s\n" msg;
       exit 1
@@ -113,45 +129,13 @@ let rm_rf dir =
   end
 
 let () =
-  (* Round 1: monolithic image. *)
-  let journal_path = Filename.temp_file "rvaas_persist" ".rvjl" in
   let digest_path = Filename.temp_file "rvaas_persist" ".digest" in
-  round ~name:"monolithic image" ~persist:None ~digest_path
-    ~attach:(fun s ->
-      let ctrl = Workload.Scenario.controller s in
-      let file =
-        Support.Journal_file.attach
-          (Rvaas.Journal.log (Rvaas.Failover.journal ctrl))
-          ~path:journal_path
-      in
-      fun () ->
-        Printf.sprintf "%d bytes on disk, %d synced"
-          (Support.Journal_file.written_bytes file)
-          (Support.Journal_file.synced_bytes file))
-    ~recover:(fun () -> Support.Journal_file.recover_from_file journal_path);
-  Sys.remove journal_path;
-  (* Round 2: segmented store, encrypted at rest.  The child's store
-     seals segments as it goes and compaction unlinks whole files; the
-     parent re-derives the storage key from the (deterministic)
-     scenario seed and recovers from ciphertext alone. *)
-  let dir = Filename.temp_file "rvaas_segments" "" in
-  Sys.remove dir;
-  let persist =
-    Some { Workload.Scenario.p_dir = dir; p_segment_bytes = 2048; p_encrypt = true }
-  in
-  round ~name:"segmented store, encrypted at rest" ~persist ~digest_path
-    ~attach:(fun s ->
-      let store = Workload.Scenario.store s in
-      fun () ->
-        Printf.sprintf
-          "%d bytes in %d sealed + 1 active encrypted segments, %d dropped by compaction"
-          (Support.Segment_store.written_bytes store)
-          (Support.Segment_store.sealed_count store)
-          (Support.Segment_store.sealed_deleted store))
-    ~recover:(fun () ->
-      (* key escrow stand-in: rebuild the keypair from the same seed *)
-      let key = Workload.Scenario.storage_key (build_scenario ~persist:None) in
-      Support.Segment_store.recover_from_dir
-        ~crypt:(Cryptosim.Atrest.crypt ~key) dir);
-  rm_rf dir;
+  List.iter
+    (fun (name, p_encrypt) ->
+      let dir = Filename.temp_file "rvaas_segments" "" in
+      Sys.remove dir;
+      let persist = { Workload.Scenario.p_dir = dir; p_segment_bytes = 2048; p_encrypt } in
+      round ~name ~persist ~digest_path;
+      rm_rf dir)
+    [ ("segmented store, plaintext", false); ("segmented store, encrypted at rest", true) ];
   Sys.remove digest_path

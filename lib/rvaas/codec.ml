@@ -329,9 +329,11 @@ module Bin = struct
 
   let r_float r = Int64.float_of_bits (r_i64 r)
 
+  (* Compare against the bytes left, not [r.pos + n]: a length near
+     [max_int] would wrap that sum negative and pass. *)
   let r_string r =
     let n = r_int r in
-    if n < 0 || r.pos + n > String.length r.src then raise (Malformed "truncated string");
+    if n < 0 || n > String.length r.src - r.pos then raise (Malformed "truncated string");
     let v = String.sub r.src r.pos n in
     r.pos <- r.pos + n;
     v

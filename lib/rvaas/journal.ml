@@ -144,8 +144,8 @@ let append_record t ~at record =
   let tag, payload = encode_record record in
   ignore (Support.Journal.append t.log ~at ~tag ~payload)
 
-(* Checkpoint records are the durability boundary: a file backend
-   fsyncs here, so everything up to (and including) the image survives
+(* Checkpoint records are the durability boundary: the segmented
+   store fsyncs here, so everything up to (and including) the image survives
    power loss, and anything after it is at worst a torn tail. *)
 let append_checkpoint t ~at ~image =
   append_record t ~at (Checkpoint image);

@@ -64,7 +64,7 @@ val auto_compact : t -> bool
 (** [append t ~at ~snapshot record] journals [record]; when the
     checkpoint cadence is reached, also journals a fresh image of
     [snapshot].  Checkpoint records trigger {!Support.Journal.sync} —
-    the fsync boundary of a file-backed journal. *)
+    the fsync boundary of an attached segmented store. *)
 val append : t -> at:float -> snapshot:Snapshot.t -> record -> unit
 
 (** [checkpoint t ~at ~snapshot] forces an image now (used at start-up
@@ -87,7 +87,8 @@ val claim_tag : string
 (** [compact t ~at] bounds the journal: recovers its current state,
     re-appends every still-open query, images the recovered snapshot,
     then drops everything older ({!Support.Journal.compact} — the
-    chain root moves, an attached file backend rewrites atomically).
+    chain root moves, an attached segmented store unlinks the sealed
+    segments below it).
     Recovery-equivalent: [recover (log t)] returns the same snapshot,
     digest vector and open-query list before and after. *)
 val compact : t -> at:float -> unit

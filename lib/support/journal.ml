@@ -7,19 +7,18 @@ type entry = {
   checksum : int64;
 }
 
-(* A backend (e.g. [Journal_file], [Segment_store]) mirrors the
-   in-memory log onto durable storage; replica tails ([Replica]) are
-   sinks too, so several can be attached at once.  [on_append] sees
-   every new entry, [on_sync] must not return until prior appends are
-   durable, [on_roll] marks a segment boundary (segmented backends
-   seal the active segment; others ignore it), [on_rewrite] is told
-   the whole image changed wholesale (compaction) and must replace its
-   copy atomically. *)
+(* The durable store ([Segment_store]) mirrors the in-memory log onto
+   disk; replica tails ([Replica]) are sinks too, so several can be
+   attached at once.  [on_append] sees every new entry, [on_sync] must
+   not return until prior appends are durable, [on_roll] marks a
+   segment boundary (the store seals its active segment; replicas
+   ignore it), [on_compact] is told the chain base moved forward and
+   drops whatever now lies wholly below it. *)
 type sink = {
   on_append : entry -> unit;
   on_sync : unit -> unit;
   on_roll : unit -> unit;
-  on_rewrite : unit -> unit;
+  on_compact : unit -> unit;
 }
 
 type t = {
@@ -103,8 +102,6 @@ let last_at t = match t.rev_entries with [] -> None | e :: _ -> Some e.at
 
 let attach t sink = t.sinks <- t.sinks @ [ sink ]
 
-let detach t = t.sinks <- []
-
 let detach_sink t sink = t.sinks <- List.filter (fun s -> s != sink) t.sinks
 
 let sync t = List.iter (fun s -> s.on_sync ()) t.sinks
@@ -174,8 +171,8 @@ let valid_prefix t =
    checksum chain is sequential — so the base moves to the newest
    dropped entry and the retained suffix (whose first link hashes over
    that entry's checksum) verifies unchanged.  Generation numbers and
-   the audit trail of the retained entries are untouched.  The backend
-   (if any) is told to rewrite its image atomically. *)
+   the audit trail of the retained entries are untouched.  Attached
+   sinks are told through [on_compact]. *)
 let compact t ~upto_seq =
   if upto_seq > t.base_seq then begin
     let kept, dropped =
@@ -189,7 +186,7 @@ let compact t ~upto_seq =
       t.base_seq <- newest_dropped.seq + 1;
       t.base_gen <- newest_dropped.gen;
       t.base_checksum <- newest_dropped.checksum;
-      List.iter (fun s -> s.on_rewrite ()) t.sinks
+      List.iter (fun s -> s.on_compact ()) t.sinks
   end
 
 let verify t =
@@ -205,46 +202,55 @@ let iter_valid t ~f =
 
 let magic = "RVJL1"
 
-let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* Little-endian primitives shared by every on-disk format in
+   [support]: the RVJL1 image here, segment headers and frames in
+   [Segment_store]. *)
+module Binary = struct
+  exception Truncated
 
-let w_i64 b v =
-  for i = 0 to 7 do
-    w_u8 b (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL))
-  done
+  let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 
-let w_int b v = w_i64 b (Int64.of_int v)
+  let w_i64 b v =
+    for i = 0 to 7 do
+      w_u8 b (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL))
+    done
 
-let w_float b v = w_i64 b (Int64.bits_of_float v)
+  let w_int b v = w_i64 b (Int64.of_int v)
 
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+  let w_float b v = w_i64 b (Int64.bits_of_float v)
 
-exception Truncated
+  let w_string b s =
+    w_int b (String.length s);
+    Buffer.add_string b s
 
-let r_u8 s pos =
-  if !pos >= String.length s then raise Truncated;
-  let v = Char.code s.[!pos] in
-  incr pos;
-  v
+  let r_u8 s pos =
+    if !pos >= String.length s then raise Truncated;
+    let v = Char.code s.[!pos] in
+    incr pos;
+    v
 
-let r_i64 s pos =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 s pos)) (8 * i))
-  done;
-  !v
+  let r_i64 s pos =
+    let v = ref 0L in
+    for i = 0 to 7 do
+      v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 s pos)) (8 * i))
+    done;
+    !v
 
-let r_int s pos = Int64.to_int (r_i64 s pos)
+  let r_int s pos = Int64.to_int (r_i64 s pos)
 
-let r_float s pos = Int64.float_of_bits (r_i64 s pos)
+  let r_float s pos = Int64.float_of_bits (r_i64 s pos)
 
-let r_string s pos =
-  let n = r_int s pos in
-  if n < 0 || !pos + n > String.length s then raise Truncated;
-  let v = String.sub s !pos n in
-  pos := !pos + n;
-  v
+  (* Compare against the bytes left, not [!pos + n]: a length near
+     [max_int] would wrap that sum negative and pass. *)
+  let r_string s pos =
+    let n = r_int s pos in
+    if n < 0 || n > String.length s - !pos then raise Truncated;
+    let v = String.sub s !pos n in
+    pos := !pos + n;
+    v
+end
+
+open Binary
 
 let w_entry b (e : entry) =
   w_int b e.gen;
@@ -260,24 +266,20 @@ let encode_entry e =
   Buffer.contents b
 
 (* The header count is an upper bound for the decoder, not a promise:
-   file backends write [open_count] so entries appended after the
-   header was laid down still decode (the loop just runs until the
-   bytes run out). *)
+   the segmented store writes [open_count] into active segments, whose
+   frames are appended after the header was laid down (the loop just
+   runs until the bytes run out). *)
 let open_count = max_int
 
-let encode_with ~count t =
+let encode t =
   let b = Buffer.create 1024 in
   Buffer.add_string b magic;
   w_int b t.base_seq;
   w_int b t.base_gen;
   w_i64 b t.base_checksum;
-  w_int b count;
+  w_int b t.count;
   List.iter (w_entry b) (entries t);
   Buffer.contents b
-
-let encode t = encode_with ~count:t.count t
-
-let encode_open t = encode_with ~count:open_count t
 
 (* Decode keeps the checksum-valid prefix and silently drops any
    corrupt or truncated tail — the durable-log recovery contract. *)

@@ -27,7 +27,7 @@
     unchanged and sequence/generation numbering is preserved.
 
     Backends: a {!sink} mirrors the log onto durable storage
-    ([Journal_file] is the file-backed one); callers stay
+    ([Segment_store] is the on-disk one); callers stay
     backend-agnostic — they only ever talk to this module. *)
 
 type entry = {
@@ -123,9 +123,9 @@ val iter_valid : t -> f:(entry -> unit) -> int
     checksum chain, sequence numbering and generation audit trail of
     the retained suffix.  The caller is responsible for only cutting
     at a point covered by a newer verified checkpoint (the typed
-    layer, [Rvaas.Journal.compact], enforces this).  An attached
-    backend is told to rewrite its image atomically.  No-op when
-    nothing would be dropped. *)
+    layer, [Rvaas.Journal.compact], enforces this).  Attached sinks
+    are told through [on_compact].  No-op when nothing would be
+    dropped. *)
 val compact : t -> upto_seq:int -> unit
 
 (** {1 Backends}
@@ -140,21 +140,19 @@ type sink = {
   on_sync : unit -> unit;
       (** make prior appends durable before returning (fsync) *)
   on_roll : unit -> unit;
-      (** a segment boundary: segmented backends seal the active
-          segment and start a fresh one; others ignore it *)
-  on_rewrite : unit -> unit;
-      (** the image changed wholesale (compaction); replace atomically *)
+      (** a segment boundary: the segmented store seals the active
+          segment and starts a fresh one; replica tails ignore it *)
+  on_compact : unit -> unit;
+      (** {!compact} moved the chain base forward: drop whatever now
+          lies wholly below {!base_seq} *)
 }
 
 (** [attach t sink] adds a backend.  Several sinks can be attached at
     once (a durable store plus replica tails); they are notified in
     attach order.  A sink does NOT retroactively see existing entries —
-    backends write the current image on attach ([Journal_file.attach]
+    backends write the current image on attach ([Segment_store.attach]
     does). *)
 val attach : t -> sink -> unit
-
-(** [detach t] removes every attached sink. *)
-val detach : t -> unit
 
 (** [detach_sink t sink] removes exactly [sink] (physical equality),
     leaving other backends attached. *)
@@ -170,7 +168,7 @@ val sync : t -> unit
     a fresh one at the current chain tail.  The typed layer calls this
     right before re-appending the retained block during compaction, so
     the subsequent {!compact} can drop whole sealed segments without
-    rewriting any retained bytes.  No-op for non-segmented sinks. *)
+    rewriting any retained bytes.  No-op for replica tails. *)
 val roll : t -> unit
 
 (** {1 Binary persistence}
@@ -183,19 +181,35 @@ val roll : t -> unit
 
 val encode : t -> string
 
-(** [encode_open t] is [encode t] with an open-ended entry count in
-    the header: the decoder treats the count as an upper bound, so a
-    file backend can lay down this image once and keep appending
-    {!encode_entry} frames after it. *)
-val encode_open : t -> string
-
 (** [encode_entry e] is the wire frame of a single entry, exactly as
     it appears in an image after the header. *)
 val encode_entry : entry -> string
 
-(** The open-ended header count written by {!encode_open}: the decoder
-    treats it as an upper bound.  Segmented backends write it into
-    active-segment headers and synthesized recovery images. *)
+(** An open-ended header count: {!decode} treats the count as an
+    upper bound, so every frame after such a header decodes.  The
+    segmented store writes it into active-segment headers and into the
+    image it synthesizes at recovery. *)
 val open_count : int
 
 val decode : string -> (t, string) result
+
+(** Little-endian primitives behind {!encode} and {!decode}, shared
+    with [Segment_store] so [support] has one binary reader.  Readers
+    take the bytes and a cursor, advance the cursor, and raise
+    {!Truncated} when the bytes run out or a length prefix is negative
+    or points past the end. *)
+module Binary : sig
+  exception Truncated
+
+  val w_i64 : Buffer.t -> int64 -> unit
+
+  val w_int : Buffer.t -> int -> unit
+
+  val r_u8 : string -> int ref -> int
+
+  val r_i64 : string -> int ref -> int64
+
+  val r_int : string -> int ref -> int
+
+  val r_string : string -> int ref -> string
+end

@@ -114,7 +114,7 @@ let handle_append t e =
     enforce_record_bound t
   end
 
-let handle_rewrite t =
+let handle_compact t =
   if not t.partitioned then
     (* stamp with the source tail so the image is applied on the next
        pump (it is never younger than the frames it replaces) *)
@@ -184,7 +184,7 @@ let create ?faults ?(max_lag = 8) ?(delay = 0.0) source =
       Journal.on_append = (fun e -> handle_append t e);
       on_sync = (fun () -> ());
       on_roll = (fun () -> ());
-      on_rewrite = (fun () -> handle_rewrite t);
+      on_compact = (fun () -> handle_compact t);
     }
   in
   t.sink <- Some sink;

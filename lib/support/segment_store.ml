@@ -1,19 +1,19 @@
-(* Segmented journal store: the RVJL1 single-file image split into
-   sealed segments plus one active segment.
+(* Segmented journal store: the journal's on-disk backend, its RVJL1
+   frames split into sealed segments plus one active segment.
 
    Layout: a directory holding [seg-NNNNNN.rvsg] (sealed, immutable)
    and at most one [seg-NNNNNN.act] (active).  Each segment carries
    its own chain base (the checksum root under its first entry), so
    recovery concatenates segments oldest-first and re-derives one
-   continuous chain; the active segment tolerates a torn tail exactly
-   like the monolithic image did.
+   continuous chain; a torn tail in the active segment costs only the
+   torn frame, as in any RVJL1 image.
 
    Sealing: when the active segment crosses the size threshold (or the
    typed layer rolls it at a compaction boundary), its header is
    finalized — exact frame count, span checksum (the chain state after
    its last entry), sealed flag — fsynced, and the file is renamed to
    its immutable name.  A sealed segment is never written again, which
-   is what lets compaction drop whole files: [on_rewrite] unlinks the
+   is what lets compaction drop whole files: [on_compact] unlinks the
    sealed segments wholly below the new chain base, oldest first, and
    touches no retained byte.
 
@@ -25,9 +25,9 @@
    caught by the frame MAC: recovery stops at the first unverifiable
    frame, the same torn-tail contract as plaintext.
 
-   Error containment mirrors [Journal_file]: a write/fsync failure
-   marks the store degraded and is swallowed — the in-memory journal
-   stays authoritative. *)
+   Error containment: a write/fsync failure marks the store degraded
+   and is swallowed — the in-memory journal stays authoritative, and
+   the disk keeps a stale but still-recoverable prefix. *)
 
 type crypt = {
   wrap : nonce:string -> index:int -> string -> string;
@@ -42,15 +42,7 @@ type config = {
 
 let default_config = { segment_bytes = 64 * 1024; crypt = None }
 
-(* ---- little-endian binary helpers (same wire order as Journal) ---- *)
-
-let w_i64 b v =
-  for i = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-  done
-
-let w_int b v = w_i64 b (Int64.of_int v)
+open Journal.Binary
 
 let i64_bytes v =
   let b = Buffer.create 8 in
@@ -58,30 +50,6 @@ let i64_bytes v =
   Buffer.contents b
 
 let int_bytes v = i64_bytes (Int64.of_int v)
-
-exception Truncated
-
-let r_u8 s pos =
-  if !pos >= String.length s then raise Truncated;
-  let v = Char.code s.[!pos] in
-  incr pos;
-  v
-
-let r_i64 s pos =
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor !v (Int64.shift_left (Int64.of_int (r_u8 s pos)) (8 * i))
-  done;
-  !v
-
-let r_int s pos = Int64.to_int (r_i64 s pos)
-
-let r_string s pos =
-  let n = r_int s pos in
-  if n < 0 || !pos + n > String.length s then raise Truncated;
-  let v = String.sub s !pos n in
-  pos := !pos + n;
-  v
 
 (* ---- segment format ---- *)
 
@@ -411,7 +379,7 @@ let handle_sync t =
    unlinks), then pin the directory.  Segments straddling the base are
    retained untouched — recovery replays their extra prefix, which is
    digest-equivalent. *)
-let handle_rewrite t =
+let handle_compact t =
   contain t (fun () ->
       let base = Journal.base_seq t.log in
       let drop, keep =
@@ -466,10 +434,9 @@ let attach ?(config = default_config) ?faults log ~dir =
       sink = None;
     }
   in
-  (* Attach replaces whatever store was here: stale temp files (from a
-     crashed [Journal_file] rewrite pointed at this directory, or any
-     earlier tooling) are swept and counted; old segments are removed
-     so the fresh image is the only truth. *)
+  (* Attach replaces whatever store was here: stale temp files (left
+     by a crashed writer or earlier tooling) are swept and counted;
+     old segments are removed so the fresh image is the only truth. *)
   Array.iter
     (fun f ->
       let p = Filename.concat dir f in
@@ -498,7 +465,7 @@ let attach ?(config = default_config) ?faults log ~dir =
       Journal.on_append = (fun e -> handle_append t e);
       on_sync = (fun () -> handle_sync t);
       on_roll = (fun () -> contain t (fun () -> roll_exn t));
-      on_rewrite = (fun () -> handle_rewrite t);
+      on_compact = (fun () -> handle_compact t);
     }
   in
   t.sink <- Some sink;
@@ -613,7 +580,7 @@ let recover_from_dir ?crypt dir =
                 if not clean then stop := true
               end)
             all;
-          (* Synthesize the monolithic open-ended image and reuse the
+          (* Synthesize one open-ended RVJL1 image and reuse the
              journal decoder — identical torn-tail semantics. *)
           let img = Buffer.create (Buffer.length frames + 64) in
           Buffer.add_string img "RVJL1";

@@ -1,6 +1,6 @@
-(** Segmented journal store: sealed immutable segments plus one
-    active segment, replacing the monolithic RVJL1 image for logs that
-    outgrow rewrite-the-world compaction.
+(** Segmented journal store, the on-disk backend for {!Journal}:
+    sealed immutable segments plus one active segment, so compaction
+    never rewrites the world.
 
     A directory holds [seg-NNNNNN.rvsg] files (sealed — finalized
     header with exact frame count and span checksum, fsynced, never
@@ -8,8 +8,8 @@
     header, incrementally appended, flushed per entry, fsynced on
     checkpoint).  Each segment records its own chain base, so recovery
     concatenates segments in index order and re-derives a single
-    continuous checksum chain; the active tail tolerates torn writes
-    exactly as the monolithic image did.
+    continuous checksum chain; a torn write in the active tail costs
+    only the torn frame.
 
     Compaction ({!Journal.compact} on the attached log) drops whole
     sealed segments that lie wholly below the new chain base — oldest
@@ -24,9 +24,8 @@
     makes the frame MAC fail, and recovery stops there (the torn-tail
     contract, preserved under encryption).
 
-    Error containment matches {!Journal_file}: write/fsync failures
-    mark the store degraded and are swallowed; the in-memory journal
-    stays authoritative. *)
+    Error containment: write/fsync failures mark the store degraded
+    and are swallowed; the in-memory journal stays authoritative. *)
 
 (** Injected cipher hooks ([support] sits below [cryptosim], so the
     cipher itself lives in [Cryptosim.Atrest] and is passed in).

@@ -1,12 +1,14 @@
 (* Durable persistence crash matrix.
 
-   Layers under test: the on-disk journal backend
-   ([Support.Journal_file]) against arbitrary truncation/corruption of
-   the image and fsync-boundary kills, and journal compaction
-   ([Support.Journal.compact] / [Rvaas.Journal.compact]) for
-   recovery-equivalence, bounded growth and crash-mid-rewrite safety.
-   Every file-layer property is checked against the in-memory
-   [valid_prefix] oracle: whatever the file gives back must be a
+   Layers under test: the segmented on-disk store
+   ([Support.Segment_store]) against arbitrary truncation/corruption of
+   any segment, fsync-boundary kills, crashes inside the seal and
+   compaction protocols, injected I/O faults and encryption-at-rest;
+   journal compaction ([Support.Journal.compact] /
+   [Rvaas.Journal.compact]) for recovery-equivalence and bounded
+   growth; and every binary decoder against hostile length prefixes.
+   Every on-disk property is checked against the in-memory
+   [valid_prefix] oracle: whatever the disk gives back must be a
    verified prefix of what was appended. *)
 
 let check = Alcotest.check
@@ -21,15 +23,6 @@ let entry_equal (a : Support.Journal.entry) (b : Support.Journal.entry) =
 let is_prefix_of got orig =
   List.length got <= List.length orig
   && List.for_all2 entry_equal got (List.filteri (fun i _ -> i < List.length got) orig)
-
-let with_tmp_file f =
-  let path = Filename.temp_file "rvaas_persistence" ".rvjl" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; path ^ ".tmp" ])
-    (fun () -> f path)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -111,148 +104,12 @@ let apply_ops ?(checkpoint_every = 4) ?(auto_compact = false)
 let open_nonces (r : Rvaas.Journal.recovery) =
   List.map (fun q -> q.Rvaas.Journal.q_nonce) r.open_queries
 
-(* ---- file backend: round-trip and incremental appends ---- *)
-
-let test_file_roundtrip () =
-  with_tmp_file (fun path ->
-      let j, snap =
-        apply_ops
-          (QCheck2.Gen.generate1 ~rand:(Random.State.make [| 7 |]) gen_ops)
-      in
-      let log = Rvaas.Journal.log j in
-      (* Attach mid-life: the backend writes the current image, then
-         mirrors later appends incrementally. *)
-      let file = Support.Journal_file.attach log ~path in
-      let before = Support.Journal_file.written_bytes file in
-      Rvaas.Journal.heartbeat j ~at:99.0;
-      Rvaas.Journal.checkpoint j ~at:99.1 ~snapshot:snap;
-      check Alcotest.bool "appends mirrored incrementally" true
-        (Support.Journal_file.written_bytes file > before);
-      check Alcotest.int "checkpoint fsynced everything"
-        (Support.Journal_file.written_bytes file)
-        (Support.Journal_file.synced_bytes file);
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "recover_from_file: %s" e
-      | Ok log' ->
-        check Alcotest.bool "file recovers every entry" true
-          (List.length (Support.Journal.entries log')
-          = List.length (Support.Journal.entries log));
-        List.iter2
-          (fun a b -> check Alcotest.bool "entry preserved" true (entry_equal a b))
-          (Support.Journal.entries log)
-          (Support.Journal.entries log');
-        let r = Rvaas.Journal.recover log' in
-        check Alcotest.bool "digest parity through the file" true
-          (Rvaas.Snapshot.digest_vector snap
-          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot);
-        Support.Journal_file.close file)
-
-(* Truncate the on-disk image at an arbitrary byte offset: recovery
-   must return a verified prefix of the in-memory oracle — and the
-   whole journal when the cut is past the written bytes. *)
-let prop_file_truncation =
-  QCheck2.Test.make ~count:60
-    ~name:"file image truncated at any offset recovers the verified prefix"
-    QCheck2.Gen.(pair gen_ops (int_bound 1_000_000))
-    (fun (ops, cut_raw) ->
-      with_tmp_file (fun path ->
-          let j, _ = apply_ops ops in
-          let log = Rvaas.Journal.log j in
-          let file = Support.Journal_file.attach log ~path in
-          Support.Journal_file.close file;
-          let img = read_file path in
-          let cut = cut_raw mod (String.length img + 1) in
-          write_file path (String.sub img 0 cut);
-          let oracle = Support.Journal.valid_prefix log in
-          match Support.Journal_file.recover_from_file path with
-          | Error _ -> cut < 5 (* only a cut inside the magic may fail *)
-          | Ok log' ->
-            let got = Support.Journal.entries log' in
-            Support.Journal.verify log'
-            && is_prefix_of got oracle
-            && (cut < String.length img || List.length got = List.length oracle)))
-
-(* Flip one bit anywhere in the image: recovery must never return
-   anything that is not a verified prefix of what was written. *)
-let prop_file_bitflip =
-  QCheck2.Test.make ~count:60
-    ~name:"file image with any bit flipped recovers a verified prefix"
-    QCheck2.Gen.(triple gen_ops (int_bound 1_000_000) (int_bound 7))
-    (fun (ops, pos_raw, bit) ->
-      with_tmp_file (fun path ->
-          let j, _ = apply_ops ops in
-          let log = Rvaas.Journal.log j in
-          let file = Support.Journal_file.attach log ~path in
-          Support.Journal_file.close file;
-          let img = Bytes.of_string (read_file path) in
-          let pos = pos_raw mod Bytes.length img in
-          Bytes.set img pos
-            (Char.chr (Char.code (Bytes.get img pos) lxor (1 lsl bit)));
-          write_file path (Bytes.to_string img);
-          let oracle = Support.Journal.valid_prefix log in
-          match Support.Journal_file.recover_from_file path with
-          | Error _ -> pos < 5 (* only magic corruption may hard-fail *)
-          | Ok log' ->
-            Support.Journal.verify log'
-            && is_prefix_of (Support.Journal.entries log') oracle))
-
-(* Kill between append and checkpoint: anything at or past the last
-   fsync must recover at least the synced prefix (the checkpoint
-   included); the unsynced tail may tear anywhere. *)
-let test_fsync_boundary () =
-  with_tmp_file (fun path ->
-      let j = Rvaas.Journal.create ~checkpoint_every:4 () in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      let snap = Rvaas.Snapshot.create () in
-      let observe i =
-        let ev = Ofproto.Message.Flow_added (sample_spec i) in
-        Rvaas.Snapshot.apply_event snap ~sw:0 ~now:(0.01 *. float_of_int i) ev;
-        Rvaas.Journal.append j ~at:(0.01 *. float_of_int i) ~snapshot:snap
-          (Rvaas.Journal.Observation { sw = 0; event = ev })
-      in
-      (* 4 observations trigger the cadence checkpoint, which fsyncs. *)
-      for i = 1 to 4 do
-        observe i
-      done;
-      let synced = Support.Journal_file.synced_bytes file in
-      let count_at_sync = Support.Journal.length log in
-      check Alcotest.int "cadence checkpoint landed" 5 count_at_sync;
-      (* Unsynced tail: two more observations, no checkpoint. *)
-      observe 5;
-      observe 6;
-      check Alcotest.bool "tail is written but not fsynced" true
-        (Support.Journal_file.written_bytes file > synced);
-      let img = read_file path in
-      check Alcotest.int "file holds every written byte"
-        (Support.Journal_file.written_bytes file)
-        (String.length img);
-      (* Simulate the kill: every surviving length from the fsync
-         boundary up to the full file must recover the synced prefix
-         (checkpoint included) — possibly more, never less. *)
-      for cut = synced to String.length img do
-        write_file path (String.sub img 0 cut);
-        match Support.Journal_file.recover_from_file path with
-        | Error e -> Alcotest.failf "cut at %d failed: %s" cut e
-        | Ok log' ->
-          if Support.Journal.length log' < count_at_sync then
-            Alcotest.failf "cut at %d lost fsynced entries: %d < %d" cut
-              (Support.Journal.length log') count_at_sync;
-          if not (Support.Journal.verify log') then
-            Alcotest.failf "cut at %d recovered an unverified log" cut
-      done;
-      (* At exactly the fsync boundary the last record is the
-         checkpoint image itself. *)
-      write_file path (String.sub img 0 synced);
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "boundary cut: %s" e
-      | Ok log' -> (
-        let entries = Support.Journal.entries log' in
-        check Alcotest.int "synced prefix exactly" count_at_sync
-          (List.length entries);
-        match Rvaas.Journal.decode_entry (List.nth entries (count_at_sync - 1)) with
-        | Ok (Rvaas.Journal.Checkpoint _) -> ()
-        | _ -> Alcotest.fail "fsync boundary is not a checkpoint record"))
+(* One observation on switch 0, applied to [snap] and journalled. *)
+let seg_observe j snap i =
+  let ev = Ofproto.Message.Flow_added (sample_spec i) in
+  Rvaas.Snapshot.apply_event snap ~sw:0 ~now:(0.01 *. float_of_int i) ev;
+  Rvaas.Journal.append j ~at:(0.01 *. float_of_int i) ~snapshot:snap
+    (Rvaas.Journal.Observation { sw = 0; event = ev })
 
 (* ---- compaction ---- *)
 
@@ -277,108 +134,6 @@ let prop_compaction_equivalence =
          = Rvaas.Snapshot.digest_vector after.Rvaas.Journal.snapshot
       && open_nonces before = open_nonces after
       && before.Rvaas.Journal.generation = after.Rvaas.Journal.generation)
-
-(* Compaction composes with the file backend: the image is rewritten
-   in place (temp + rename) and recovery from the rewritten file
-   matches recovery from memory. *)
-let test_compaction_file_rewrite () =
-  with_tmp_file (fun path ->
-      let ops =
-        QCheck2.Gen.generate1 ~rand:(Random.State.make [| 11 |])
-          QCheck2.Gen.(list_repeat 80 gen_op)
-      in
-      let j, _ = apply_ops ops in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      let bytes_before = (Unix.stat path).Unix.st_size in
-      let before = Rvaas.Journal.recover log in
-      Rvaas.Journal.compact j ~at:1000.0;
-      let bytes_after = (Unix.stat path).Unix.st_size in
-      check Alcotest.bool "image shrank on disk" true (bytes_after < bytes_before);
-      check Alcotest.bool "no temp file left behind" false
-        (Sys.file_exists (Support.Journal_file.temp_path file));
-      (match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "rewritten image: %s" e
-      | Ok log' ->
-        let after = Rvaas.Journal.recover log' in
-        check Alcotest.bool "digest parity through the rewrite" true
-          (Rvaas.Snapshot.digest_vector before.Rvaas.Journal.snapshot
-          = Rvaas.Snapshot.digest_vector after.Rvaas.Journal.snapshot);
-        check
-          (Alcotest.list Alcotest.string)
-          "open queries preserved through the rewrite" (open_nonces before)
-          (open_nonces after));
-      (* The backend stays attached and appendable after the rename. *)
-      Rvaas.Journal.heartbeat j ~at:1001.0;
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "post-rewrite append: %s" e
-      | Ok log' ->
-        check Alcotest.int "post-rewrite append recovered"
-          (Support.Journal.length log)
-          (Support.Journal.length log'))
-
-(* Every atomic image rewrite must also fsync the containing
-   directory: fsyncing the renamed file persists its contents, not the
-   directory entry, so without the barrier a power cut after the
-   rename can resurrect the old image.  The counter proves the barrier
-   ran exactly once per rewrite — and never on plain appends. *)
-let test_dir_fsync_on_rewrite () =
-  with_tmp_file (fun path ->
-      let ops =
-        QCheck2.Gen.generate1 ~rand:(Random.State.make [| 17 |])
-          QCheck2.Gen.(list_repeat 40 gen_op)
-      in
-      let j, _ = apply_ops ops in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      check Alcotest.int "attach image fsynced its directory" 1
-        (Support.Journal_file.dir_syncs file);
-      Rvaas.Journal.heartbeat j ~at:500.0;
-      check Alcotest.int "plain appends do not touch the directory" 1
-        (Support.Journal_file.dir_syncs file);
-      Rvaas.Journal.compact j ~at:1000.0;
-      check Alcotest.int "compaction rewrite fsynced the directory" 2
-        (Support.Journal_file.dir_syncs file);
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "image after directory fsync: %s" e
-      | Ok log' ->
-        check Alcotest.int "image still recovers fully"
-          (Support.Journal.length log)
-          (Support.Journal.length log'))
-
-(* A crash between writing the temp image and the rename leaves the
-   old image at [path] and a partial [path].tmp: recovery must ignore
-   the temp and return the pre-compaction state. *)
-let test_crash_mid_rewrite () =
-  with_tmp_file (fun path ->
-      let ops =
-        QCheck2.Gen.generate1 ~rand:(Random.State.make [| 13 |])
-          QCheck2.Gen.(list_repeat 60 gen_op)
-      in
-      let j, _ = apply_ops ops in
-      let log = Rvaas.Journal.log j in
-      let file = Support.Journal_file.attach log ~path in
-      let before = Rvaas.Journal.recover log in
-      let old_image = read_file path in
-      (* The kill: a torn temp image next to the intact old one. *)
-      write_file
-        (Support.Journal_file.temp_path file)
-        (String.sub old_image 0 (String.length old_image / 3));
-      (match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "old image unreadable: %s" e
-      | Ok log' ->
-        let r = Rvaas.Journal.recover log' in
-        check Alcotest.bool "pre-compaction state recovered" true
-          (Rvaas.Snapshot.digest_vector before.Rvaas.Journal.snapshot
-          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot));
-      (* A fresh attach over the same path (the restarted process)
-         replaces both the image and the stale temp. *)
-      let j2 = Rvaas.Journal.of_log ~checkpoint_every:4 log in
-      Support.Journal.detach log;
-      let file2 = Support.Journal_file.attach log ~path in
-      Rvaas.Journal.heartbeat j2 ~at:2000.0;
-      check Alcotest.bool "stale temp replaced by the new attach" false
-        (Sys.file_exists (Support.Journal_file.temp_path file2)))
 
 (* With auto-compaction the journal never exceeds 2 x checkpoint_every
    entries, at any point of any workload — except that open queries
@@ -698,13 +453,111 @@ let test_crash_mid_compaction_unlink () =
           check_state (Printf.sprintf "unlink crash point %d (%s back)" i f))
         (List.rev deleted))
 
-(* ---- injected faults: ENOSPC, short writes, failed fsyncs ---- *)
+(* Kill between append and checkpoint: every cut of the active
+   segment from the fsync boundary to its end must recover at least
+   the synced prefix (the checkpoint included); the unsynced tail may
+   tear anywhere. *)
+let test_fsync_boundary () =
+  with_tmp_dir (fun dir ->
+      let j = Rvaas.Journal.create ~checkpoint_every:4 () in
+      let log = Rvaas.Journal.log j in
+      let store = Support.Segment_store.attach ~config:(seg_config 65536) log ~dir in
+      let snap = Rvaas.Snapshot.create () in
+      (* 4 observations trigger the cadence checkpoint, which fsyncs. *)
+      for i = 1 to 4 do
+        seg_observe j snap i
+      done;
+      let synced = Support.Segment_store.synced_bytes store in
+      let count_at_sync = Support.Journal.length log in
+      check Alcotest.int "cadence checkpoint landed" 5 count_at_sync;
+      (* Unsynced tail: two more observations, no checkpoint. *)
+      seg_observe j snap 5;
+      seg_observe j snap 6;
+      check Alcotest.bool "tail is written but not fsynced" true
+        (Support.Segment_store.written_bytes store > synced);
+      check Alcotest.int "one active segment holds the whole log" 0
+        (Support.Segment_store.sealed_count store);
+      let path = Support.Segment_store.active_path store in
+      let img = read_file path in
+      check Alcotest.int "the segment holds every written byte"
+        (Support.Segment_store.written_bytes store)
+        (String.length img);
+      (* Simulate the kill: every surviving length from the fsync
+         boundary up to the full segment must recover the synced
+         prefix (checkpoint included) — possibly more, never less. *)
+      for cut = synced to String.length img do
+        write_file path (String.sub img 0 cut);
+        match Support.Segment_store.recover_from_dir dir with
+        | Error e -> Alcotest.failf "cut at %d failed: %s" cut e
+        | Ok log' ->
+          if Support.Journal.length log' < count_at_sync then
+            Alcotest.failf "cut at %d lost fsynced entries: %d < %d" cut
+              (Support.Journal.length log') count_at_sync;
+          if not (Support.Journal.verify log') then
+            Alcotest.failf "cut at %d recovered an unverified log" cut
+      done;
+      (* At exactly the fsync boundary the last record is the
+         checkpoint image itself. *)
+      write_file path (String.sub img 0 synced);
+      (match Support.Segment_store.recover_from_dir dir with
+      | Error e -> Alcotest.failf "boundary cut: %s" e
+      | Ok log' -> (
+        let entries = Support.Journal.entries log' in
+        check Alcotest.int "synced prefix exactly" count_at_sync
+          (List.length entries);
+        match Rvaas.Journal.decode_entry (List.nth entries (count_at_sync - 1)) with
+        | Ok (Rvaas.Journal.Checkpoint _) -> ()
+        | _ -> Alcotest.fail "fsync boundary is not a checkpoint record"));
+      Support.Segment_store.close store)
 
-let seg_observe j snap i =
-  let ev = Ofproto.Message.Flow_added (sample_spec i) in
-  Rvaas.Snapshot.apply_event snap ~sw:0 ~now:(0.01 *. float_of_int i) ev;
-  Rvaas.Journal.append j ~at:(0.01 *. float_of_int i) ~snapshot:snap
-    (Rvaas.Journal.Observation { sw = 0; event = ev })
+(* Fsyncing a file persists its contents, not the directory entry
+   naming it: a power cut after a seal's rename or a compaction's
+   unlinks could otherwise resurrect the old names.  The store fsyncs
+   the directory at attach, at every seal and after every deletion
+   batch — and never on a plain append. *)
+let test_dir_fsyncs () =
+  with_tmp_dir (fun dir ->
+      let j, _ =
+        apply_ops
+          (QCheck2.Gen.generate1 ~rand:(Random.State.make [| 17 |])
+             QCheck2.Gen.(list_repeat 40 gen_op))
+      in
+      let log = Rvaas.Journal.log j in
+      (* Large segments: nothing seals unless the test asks for it. *)
+      let store = Support.Segment_store.attach ~config:(seg_config 65536) log ~dir in
+      let syncs () = Support.Segment_store.dir_syncs store in
+      check Alcotest.int "attach fsynced the directory" 1 (syncs ());
+      Rvaas.Journal.heartbeat j ~at:500.0;
+      check Alcotest.int "plain appends do not touch the directory" 1 (syncs ());
+      Support.Segment_store.seal_active store;
+      check Alcotest.int "a seal fsynced the directory" 2 (syncs ());
+      (* Compaction rolls the non-empty active segment (a seal), then
+         unlinks both sealed segments in one batch. *)
+      Rvaas.Journal.heartbeat j ~at:600.0;
+      Rvaas.Journal.compact j ~at:1000.0;
+      check Alcotest.int "compaction sealed once" 2 (Support.Segment_store.seals store);
+      check Alcotest.int "compaction unlinked both sealed segments" 2
+        (Support.Segment_store.sealed_deleted store);
+      check Alcotest.int "the seal and the deletion batch fsynced the directory" 4
+        (syncs ());
+      Support.Segment_store.close store;
+      (match Support.Segment_store.recover_from_dir dir with
+      | Error e -> Alcotest.failf "store after directory fsyncs: %s" e
+      | Ok log' ->
+        check Alcotest.int "store still recovers fully"
+          (Support.Journal.length log)
+          (Support.Journal.length log'));
+      (* Small segments: the seals taken while attach mirrors the log
+         fsync the directory too. *)
+      let store = Support.Segment_store.attach ~config:(seg_config 512) log ~dir in
+      check Alcotest.bool "attach mirrored across several seals" true
+        (Support.Segment_store.seals store >= 2);
+      check Alcotest.int "one directory fsync per seal, plus attach's own"
+        (1 + Support.Segment_store.seals store)
+        (Support.Segment_store.dir_syncs store);
+      Support.Segment_store.close store)
+
+(* ---- injected faults: ENOSPC, short writes, failed fsyncs ---- *)
 
 let test_enospc_containment () =
   with_tmp_dir (fun dir ->
@@ -871,8 +724,8 @@ let prop_encrypted_bitflip =
 
 (* ---- end to end: a live HA deployment journaling to disk ---- *)
 
-let test_scenario_file_recovery () =
-  with_tmp_file (fun path ->
+let test_scenario_store_recovery () =
+  with_tmp_dir (fun dir ->
       let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
       let s =
         Workload.Scenario.build
@@ -886,46 +739,239 @@ let test_scenario_file_recovery () =
                   checkpoint_every = 16;
                   auto_compact = true;
                 };
+            persist =
+              Some { Workload.Scenario.p_dir = dir; p_segment_bytes = 2048; p_encrypt = false };
           }
       in
-      let ctrl = Workload.Scenario.controller s in
-      let log = Rvaas.Journal.log (Rvaas.Failover.journal ctrl) in
-      let file = Support.Journal_file.attach log ~path in
+      let log = Rvaas.Journal.log (Rvaas.Failover.journal (Workload.Scenario.controller s)) in
       Workload.Scenario.run s ~until:0.6;
+      let store = Workload.Scenario.store s in
       check Alcotest.bool "auto-compaction bounded the live journal" true
         (Support.Journal.length log <= 32);
+      check Alcotest.bool "compaction unlinked sealed segments" true
+        (Support.Segment_store.sealed_deleted store > 0);
       let live = Rvaas.Monitor.snapshot (Workload.Scenario.monitor s) in
-      match Support.Journal_file.recover_from_file path with
-      | Error e -> Alcotest.failf "live file recovery: %s" e
+      (match Support.Segment_store.recover_from_dir dir with
+      | Error e -> Alcotest.failf "live store recovery: %s" e
       | Ok log' ->
         let r = Rvaas.Journal.recover log' in
         check Alcotest.bool "recovered digest vector equals the live one" true
           (Rvaas.Snapshot.digest_vector live
-          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot);
-        Support.Journal_file.close file)
+          = Rvaas.Snapshot.digest_vector r.Rvaas.Journal.snapshot));
+      Support.Segment_store.close store)
+
+(* ---- hostile length prefixes ----
+
+   Every binary decoder reads a length, then that many bytes.  A
+   length near [max_int] must not wrap the bounds check: each decoder
+   must come back with an [Error] or a verified prefix, never an
+   exception.  [hostile ~at] is the value set for a length field whose
+   8 bytes sit at offset [at]: the reader's position after the field
+   is [at + 8], so [max_int - (at + 7)] is the smallest value whose
+   end offset overflows, and [max_int - (at + 8)] the largest that
+   does not. *)
+
+let hostile ~at = [ max_int; max_int - 1; max_int - (at + 7); max_int - (at + 8); -1; min_int ]
+
+let patch_int s ~at n =
+  let b = Bytes.of_string s in
+  Bytes.set_int64_le b at (Int64.of_int n);
+  Bytes.to_string b
+
+let no_raise what f =
+  match f () with
+  | ok -> ok
+  | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+
+let test_hostile_journal_image () =
+  let log = Support.Journal.create () in
+  ignore (Support.Journal.append log ~at:0.1 ~tag:"obs" ~payload:"first");
+  ignore (Support.Journal.append log ~at:0.2 ~tag:"obs" ~payload:"second");
+  let img = Support.Journal.encode log in
+  let oracle = Support.Journal.entries log in
+  (* The header is magic + 4 words, the last one the entry count; a
+     frame is 3 words, then the length-prefixed tag ("obs") and
+     payload.  Each field comes with the entries that must survive it
+     (the count only bounds the loop, so any prefix will do there). *)
+  let header = 5 + (4 * 8) in
+  let e2 = header + String.length (Support.Journal.encode_entry (List.hd oracle)) in
+  let fields =
+    [
+      ("entry count", header - 8, None);
+      ("entry 1 tag length", header + 24, Some 0);
+      ("entry 1 payload length", header + 35, Some 0);
+      ("entry 2 tag length", e2 + 24, Some 1);
+      ("entry 2 payload length", e2 + 35, Some 1);
+    ]
+  in
+  List.iter
+    (fun (name, at, kept) ->
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "RVJL1 %s = %d" name n in
+          match no_raise what (fun () -> Support.Journal.decode (patch_int img ~at n)) with
+          | Error e -> Alcotest.failf "%s: %s" what e
+          | Ok log' ->
+            let got = Support.Journal.entries log' in
+            check Alcotest.bool (what ^ ": verified prefix") true
+              (Support.Journal.verify log' && is_prefix_of got oracle);
+            Option.iter
+              (fun kept ->
+                check Alcotest.int (what ^ ": entries before the field survive") kept
+                  (List.length got))
+              kept)
+        (hostile ~at))
+    fields
+
+let test_hostile_segment_lengths () =
+  let run_case ?crypt () =
+    with_tmp_dir (fun dir ->
+        let j, _ =
+          apply_ops
+            (QCheck2.Gen.generate1 ~rand:(Random.State.make [| 41 |])
+               QCheck2.Gen.(list_repeat 40 gen_op))
+        in
+        let log = Rvaas.Journal.log j in
+        let store = Support.Segment_store.attach ~config:(seg_config ?crypt 512) log ~dir in
+        Support.Segment_store.close store;
+        let oracle = Support.Journal.valid_prefix log in
+        let files = seg_files dir in
+        check Alcotest.bool "several segments" true (List.length files >= 3);
+        let pristine = List.map (fun f -> (f, read_file (Filename.concat dir f))) files in
+        (* header: magic, flags, index, chain base (3 words), nonce
+           length at 38, nonce, count, span, then the first frame's
+           length prefix *)
+        let fields bytes =
+          let nonce = Int64.to_int (String.get_int64_le bytes 38) in
+          [ ("nonce length", 38); ("frame count", 46 + nonce); ("frame length", 62 + nonce) ]
+        in
+        List.iteri
+          (fun victim (f, bytes) ->
+            List.iter
+              (fun (name, at) ->
+                List.iter
+                  (fun n ->
+                    let what = Printf.sprintf "segment %d %s = %d" victim name n in
+                    List.iter (fun (g, b) -> write_file (Filename.concat dir g) b) pristine;
+                    write_file (Filename.concat dir f) (patch_int bytes ~at n);
+                    match
+                      no_raise what (fun () -> Support.Segment_store.recover_from_dir ?crypt dir)
+                    with
+                    | Error _ ->
+                      check Alcotest.int (what ^ ": only the first segment may hard-fail") 0
+                        victim
+                    | Ok log' ->
+                      check Alcotest.bool (what ^ ": verified prefix") true
+                        (Support.Journal.verify log'
+                        && is_prefix_of (Support.Journal.entries log') oracle))
+                  (hostile ~at))
+              (fields bytes))
+          pristine)
+  in
+  run_case ();
+  run_case ~crypt:atrest ()
+
+let test_hostile_typed_payloads () =
+  let open Rvaas.Codec.Bin in
+  let mk f =
+    let b = Buffer.create 64 in
+    f b;
+    Buffer.contents b
+  in
+  let spec = sample_spec 9 in
+  (* priority, cookie, no meter, no timeout, no in_port: the match's
+     field list starts 3 + 2 words into the spec *)
+  let spec_head b =
+    w_int b 1;
+    w_int b 7;
+    w_opt w_int b None;
+    w_opt w_float b None;
+    w_opt w_int b None
+  in
+  (* (tag, field, offset of the length, payload with length [n]) *)
+  let payloads =
+    [
+      ( "qopen", "nonce length", 0,
+        fun n ->
+          mk (fun b ->
+              w_int b n;
+              Buffer.add_string b "q1";
+              w_int b 0) );
+      ( "qopen", "query length", 8 + 2 + 24 + 1,
+        fun n ->
+          mk (fun b ->
+              w_string b "q1";
+              w_int b 0;
+              w_int b 1;
+              w_int b 0;
+              w_opt w_int b None;
+              w_int b n;
+              Buffer.add_string b "isolation") );
+      ( "poll", "flow count", 8,
+        fun n ->
+          mk (fun b ->
+              w_int b 0;
+              w_int b n;
+              w_spec b spec) );
+      ( "meters", "meter count", 8,
+        fun n ->
+          mk (fun b ->
+              w_int b 0;
+              w_int b n;
+              w_int b 1;
+              w_int b 1000) );
+      ( "obs", "match field count", 8 + 1 + 16 + 3,
+        fun n ->
+          mk (fun b ->
+              w_int b 0;
+              w_u8 b 0;
+              spec_head b;
+              w_int b n;
+              w_int b 0) );
+      ( "obs", "action count", 8 + 1 + 16 + 3 + 8,
+        fun n ->
+          mk (fun b ->
+              w_int b 0;
+              w_u8 b 0;
+              spec_head b;
+              w_int b 0;
+              w_int b n;
+              w_u8 b 0;
+              w_int b 1) );
+    ]
+  in
+  List.iter
+    (fun (tag, name, at, payload) ->
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "%s %s = %d" tag name n in
+          (* checksum-valid: the chain is unkeyed, so a hostile store
+             can carry any payload under a correct link *)
+          let log = Support.Journal.create () in
+          let j = Rvaas.Journal.of_log log in
+          Rvaas.Journal.append j ~at:0.1 ~snapshot:(Rvaas.Snapshot.create ())
+            (Rvaas.Journal.Query_opened (query_open "before"));
+          let e = Support.Journal.append log ~at:0.2 ~tag ~payload:(payload n) in
+          Rvaas.Journal.append j ~at:0.3 ~snapshot:(Rvaas.Snapshot.create ())
+            (Rvaas.Journal.Query_opened (query_open "after"));
+          (match no_raise what (fun () -> Rvaas.Journal.decode_entry e) with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s: decoded a hostile payload" what);
+          let r = no_raise (what ^ " (recover)") (fun () -> Rvaas.Journal.recover log) in
+          check
+            (Alcotest.list Alcotest.string)
+            (what ^ ": recovery skips only the hostile record")
+            [ "before"; "after" ] (open_nonces r))
+        (hostile ~at))
+    payloads
 
 let () =
   Alcotest.run "persistence"
     [
-      ( "file-backend",
-        [
-          Alcotest.test_case "attach, append, recover round-trip" `Quick
-            test_file_roundtrip;
-          QCheck_alcotest.to_alcotest prop_file_truncation;
-          QCheck_alcotest.to_alcotest prop_file_bitflip;
-          Alcotest.test_case "fsync boundary survives the kill" `Quick
-            test_fsync_boundary;
-        ] );
       ( "compaction",
         [
           QCheck_alcotest.to_alcotest prop_compaction_equivalence;
           QCheck_alcotest.to_alcotest prop_bounded_growth;
-          Alcotest.test_case "file image rewritten atomically" `Quick
-            test_compaction_file_rewrite;
-          Alcotest.test_case "rewrite fsyncs the containing directory" `Quick
-            test_dir_fsync_on_rewrite;
-          Alcotest.test_case "crash mid-rewrite keeps the old image" `Quick
-            test_crash_mid_rewrite;
           Alcotest.test_case "generation audit trail preserved" `Quick
             test_compaction_preserves_generations;
         ] );
@@ -941,6 +987,10 @@ let () =
             test_crash_mid_seal;
           Alcotest.test_case "crash between compaction unlinks" `Quick
             test_crash_mid_compaction_unlink;
+          Alcotest.test_case "fsync boundary survives the kill" `Quick
+            test_fsync_boundary;
+          Alcotest.test_case "attach, seal and unlink fsync the directory" `Quick
+            test_dir_fsyncs;
         ] );
       ( "injected-faults",
         [
@@ -958,9 +1008,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_encrypted_truncation;
           QCheck_alcotest.to_alcotest prop_encrypted_bitflip;
         ] );
+      ( "hostile-lengths",
+        [
+          Alcotest.test_case "journal image length prefixes" `Quick
+            test_hostile_journal_image;
+          Alcotest.test_case "segment header and frame lengths" `Quick
+            test_hostile_segment_lengths;
+          Alcotest.test_case "typed record payload lengths" `Quick
+            test_hostile_typed_payloads;
+        ] );
       ( "end-to-end",
         [
           Alcotest.test_case "live deployment journal recovers from disk" `Quick
-            test_scenario_file_recovery;
+            test_scenario_store_recovery;
         ] );
     ]
