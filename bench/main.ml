@@ -760,17 +760,17 @@ let e12 () =
     [ None; Some 50; Some 100; Some 500; Some 1000 ]
 
 (* ---------------------------------------------------------------- *)
-(* E13: parallel isolation sweep + digest-keyed result cache         *)
+(* E13: isolation sweep, cold vs. warm reach cache                    *)
 (* ---------------------------------------------------------------- *)
 
 let e13 () =
   section
-    "E13: parallel + incremental verification engine\n\
-     isolation query = one reach pass per access point, partitioned over a\n\
-     Support.Pool of worker domains; cold = empty result cache, warm = the\n\
-     same query repeated (digest-keyed cache hits)";
-  Printf.printf "%-14s %7s | %11s %11s | %9s %10s | %8s\n" "topology" "workers"
-    "cold (ms)" "warm (ms)" "vs 1 wkr" "warm gain" "hit rate";
+    "E13: reach cache on the isolation sweep\n\
+     isolation query = one reach pass per access point, run in the calling\n\
+     domain; cold = empty result cache, warm = the same query repeated\n\
+     (cache hits)";
+  Printf.printf "%-14s | %11s %11s | %10s | %8s\n" "topology" "cold (ms)" "warm (ms)"
+    "warm gain" "hit rate";
   let p = Workload.Topogen.default_params in
   let cases =
     [
@@ -795,42 +795,24 @@ let e13 () =
              ~port:att.Netsim.Topology.port query)
       in
       let cache = Rvaas.Service.reach_cache s.service in
-      let base_cold = ref 0.0 in
-      List.iter
-        (fun workers ->
-          let pool = Support.Pool.create workers in
-          Rvaas.Service.set_pool s.service pool;
-          Rvaas.Reach_cache.invalidate cache;
-          let (), cold = wall eval in
-          let st = Rvaas.Reach_cache.stats cache in
-          let hits0 = st.Rvaas.Reach_cache.hits
-          and misses0 = st.Rvaas.Reach_cache.misses in
-          (* Warm = median of repeated cache-hit evaluations; one
-             sample is too jittery to carry a speedup column. *)
-          let warm =
-            percentile 0.5
-              (List.init 5 (fun _ -> snd (wall eval)))
-          in
-          let dh = st.Rvaas.Reach_cache.hits - hits0
-          and dm = st.Rvaas.Reach_cache.misses - misses0 in
-          let hit_rate =
-            if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
-          in
-          if workers = 1 then base_cold := cold;
-          Printf.printf "%-14s %7d | %11.3f %11.3f | %8.2fx %9.1fx | %7.0f%%\n%!" name
-            workers (1000.0 *. cold) (1000.0 *. warm)
-            (!base_cold /. Float.max 1e-9 cold)
-            (cold /. Float.max 1e-9 warm)
-            (100.0 *. hit_rate);
-          Support.Pool.shutdown pool)
-        [ 1; 2; 4; 8 ];
-      (* Leave the scenario with a pool it can still use. *)
-      Rvaas.Service.set_pool s.service (Support.Pool.create 1))
-    cases;
-  Printf.printf
-    "\n(workers > available cores cannot speed anything up; this table is only\n\
-     meaningful on multi-core hardware — %d core(s) visible here)\n"
-    (Domain.recommended_domain_count ())
+      Rvaas.Reach_cache.invalidate cache;
+      let (), cold = wall eval in
+      let st = Rvaas.Reach_cache.stats cache in
+      let hits0 = st.Rvaas.Reach_cache.hits
+      and misses0 = st.Rvaas.Reach_cache.misses in
+      (* Warm = median of repeated cache-hit evaluations; one sample
+         is too jittery to carry a speedup column. *)
+      let warm = percentile 0.5 (List.init 5 (fun _ -> snd (wall eval))) in
+      let dh = st.Rvaas.Reach_cache.hits - hits0
+      and dm = st.Rvaas.Reach_cache.misses - misses0 in
+      let hit_rate =
+        if dh + dm = 0 then 0.0 else float_of_int dh /. float_of_int (dh + dm)
+      in
+      Printf.printf "%-14s | %11.3f %11.3f | %9.1fx | %7.0f%%\n%!" name
+        (1000.0 *. cold) (1000.0 *. warm)
+        (cold /. Float.max 1e-9 warm)
+        (100.0 *. hit_rate))
+    cases
 
 (* ---------------------------------------------------------------- *)
 (* E14: lossy-channel robustness — fault injection × retry policy    *)
@@ -1001,7 +983,7 @@ let e15 () =
      behaviour, emulated by an extra snapshot-change hook); delta = only entries\n\
      whose reach pass traversed the modified switch are evicted.  hit rate is\n\
      over the reach workload, warmup round excluded";
-  Printf.printf "%-14s %-6s %7s | %11s %11s | %8s %16s %11s\n" "topology" "mode" "workers"
+  Printf.printf "%-14s %-6s | %11s %11s | %8s %16s %11s\n" "topology" "mode"
     "reach (ms)" "isolate(ms)" "hit rate" "inv/evict/flush" "ring/purged";
   let p = Workload.Topogen.default_params in
   let rng = Support.Rng.create 7 in
@@ -1015,107 +997,100 @@ let e15 () =
     (fun (name, topo) ->
       List.iter
         (fun (mode, full_invalidate) ->
-          List.iter
-            (fun workers ->
-              let s = build_scenario topo in
-              Workload.Scenario.run s
-                ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
-              let cache = Rvaas.Service.reach_cache s.service in
-              if full_invalidate then
-                (* Emulate the pre-delta behaviour: every actual change
-                   anywhere drops every cached result. *)
-                Rvaas.Monitor.on_snapshot_change s.monitor (fun ~sw:_ ~changed ->
-                    if changed then Rvaas.Reach_cache.invalidate cache);
-              let pool = Support.Pool.create workers in
-              Rvaas.Service.set_pool s.service pool;
-              let switches = Netsim.Topology.switches topo in
-              let points = Rvaas.Verifier.access_points topo in
-              let srcs = List.filteri (fun i _ -> i < 8) points in
-              (* Two destination addresses: dst-scoped passes have the
-                 sparse traversal sets that delta invalidation keeps. *)
-              let ip_of (ep : Rvaas.Verifier.endpoint) =
-                (Option.get (Sdnctl.Addressing.host s.addressing ~host:ep.host))
-                  .Sdnctl.Addressing.ip
-              in
-              let dsts =
-                [ ip_of (List.hd points); ip_of (List.hd (List.rev points)) ]
-              in
-              let att = List.hd points in
-              let query = Rvaas.Query.make Rvaas.Query.Isolation in
-              let st = Rvaas.Reach_cache.stats cache in
-              let reach_time = ref 0.0
-              and reach_n = ref 0
-              and iso_time = ref 0.0
-              and iso_n = ref 0
-              and hits = ref 0
-              and misses = ref 0 in
-              for round = 0 to e15_rounds - 1 do
-                let sw = List.nth switches (round mod List.length switches) in
-                let m =
-                  Ofproto.Match_.with_exact Ofproto.Match_.any Hspace.Field.Tp_src
-                    (7000 + round)
-                in
-                Netsim.Net.send s.net
-                  (Sdnctl.Provider.conn s.provider)
-                  ~sw
-                  (Ofproto.Message.Flow_mod
-                     (Ofproto.Message.Add_flow
-                        (Ofproto.Flow_entry.make_spec ~cookie:9 ~priority:55 m [])));
-                Workload.Scenario.run s
-                  ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.05);
-                let h0 = st.Rvaas.Reach_cache.hits
-                and m0 = st.Rvaas.Reach_cache.misses in
-                let (), reach_dt =
-                  wall (fun () ->
+          let s = build_scenario topo in
+          Workload.Scenario.run s
+            ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
+          let cache = Rvaas.Service.reach_cache s.service in
+          if full_invalidate then
+            (* Emulate the pre-delta behaviour: every actual change
+               anywhere drops every cached result. *)
+            Rvaas.Monitor.on_snapshot_change s.monitor (fun ~sw:_ ~changed ->
+                if changed then Rvaas.Reach_cache.invalidate cache);
+          let switches = Netsim.Topology.switches topo in
+          let points = Rvaas.Verifier.access_points topo in
+          let srcs = List.filteri (fun i _ -> i < 8) points in
+          (* Two destination addresses: dst-scoped passes have the
+             sparse traversal sets that delta invalidation keeps. *)
+          let ip_of (ep : Rvaas.Verifier.endpoint) =
+            (Option.get (Sdnctl.Addressing.host s.addressing ~host:ep.host))
+              .Sdnctl.Addressing.ip
+          in
+          let dsts =
+            [ ip_of (List.hd points); ip_of (List.hd (List.rev points)) ]
+          in
+          let att = List.hd points in
+          let query = Rvaas.Query.make Rvaas.Query.Isolation in
+          let st = Rvaas.Reach_cache.stats cache in
+          let reach_time = ref 0.0
+          and reach_n = ref 0
+          and iso_time = ref 0.0
+          and iso_n = ref 0
+          and hits = ref 0
+          and misses = ref 0 in
+          for round = 0 to e15_rounds - 1 do
+            let sw = List.nth switches (round mod List.length switches) in
+            let m =
+              Ofproto.Match_.with_exact Ofproto.Match_.any Hspace.Field.Tp_src
+                (7000 + round)
+            in
+            Netsim.Net.send s.net
+              (Sdnctl.Provider.conn s.provider)
+              ~sw
+              (Ofproto.Message.Flow_mod
+                 (Ofproto.Message.Add_flow
+                    (Ofproto.Flow_entry.make_spec ~cookie:9 ~priority:55 m [])));
+            Workload.Scenario.run s
+              ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.05);
+            let h0 = st.Rvaas.Reach_cache.hits
+            and m0 = st.Rvaas.Reach_cache.misses in
+            let (), reach_dt =
+              wall (fun () ->
+                  List.iter
+                    (fun (src : Rvaas.Verifier.endpoint) ->
                       List.iter
-                        (fun (src : Rvaas.Verifier.endpoint) ->
-                          List.iter
-                            (fun ip ->
-                              ignore
-                                (Rvaas.Service.reach s.service ~src_sw:src.sw
-                                   ~src_port:src.port
-                                   ~hs:(Rvaas.Verifier.dst_ip_hs ip)))
-                            dsts)
-                        srcs)
-                in
-                let dh = st.Rvaas.Reach_cache.hits - h0
-                and dm = st.Rvaas.Reach_cache.misses - m0 in
-                let (), iso_dt =
-                  wall (fun () ->
-                      ignore
-                        (Rvaas.Service.evaluate s.service ~client:0
-                           ~sw:att.Rvaas.Verifier.sw ~port:att.Rvaas.Verifier.port
-                           query))
-                in
-                if round > 0 then begin
-                  reach_time := !reach_time +. reach_dt;
-                  reach_n := !reach_n + (List.length srcs * List.length dsts);
-                  iso_time := !iso_time +. iso_dt;
-                  incr iso_n;
-                  hits := !hits + dh;
-                  misses := !misses + dm
-                end
-              done;
-              let hit_rate =
-                if !hits + !misses = 0 then 0.0
-                else float_of_int !hits /. float_of_int (!hits + !misses)
-              in
-              Printf.printf
-                "%-14s %-6s %7d | %11.3f %11.3f | %7.0f%% %5d/%5d/%-4d %5d/%-5d\n%!"
-                name mode workers
-                (1000.0 *. !reach_time /. float_of_int (max 1 !reach_n))
-                (1000.0 *. !iso_time /. float_of_int (max 1 !iso_n))
-                (100.0 *. hit_rate)
-                st.Rvaas.Reach_cache.invalidated
-                st.Rvaas.Reach_cache.delta_evictions
-                st.Rvaas.Reach_cache.invalidations
-                (* The second-chance ring must track the live table, not
-                   the eviction history (the clock-leak regression). *)
-                (Rvaas.Reach_cache.clock_length cache)
-                st.Rvaas.Reach_cache.clock_purged;
-              Support.Pool.shutdown pool;
-              Rvaas.Service.set_pool s.service (Support.Pool.create 1))
-            [ 1; 4 ])
+                        (fun ip ->
+                          ignore
+                            (Rvaas.Service.reach s.service ~src_sw:src.sw
+                               ~src_port:src.port
+                               ~hs:(Rvaas.Verifier.dst_ip_hs ip)))
+                        dsts)
+                    srcs)
+            in
+            let dh = st.Rvaas.Reach_cache.hits - h0
+            and dm = st.Rvaas.Reach_cache.misses - m0 in
+            let (), iso_dt =
+              wall (fun () ->
+                  ignore
+                    (Rvaas.Service.evaluate s.service ~client:0
+                       ~sw:att.Rvaas.Verifier.sw ~port:att.Rvaas.Verifier.port
+                       query))
+            in
+            if round > 0 then begin
+              reach_time := !reach_time +. reach_dt;
+              reach_n := !reach_n + (List.length srcs * List.length dsts);
+              iso_time := !iso_time +. iso_dt;
+              incr iso_n;
+              hits := !hits + dh;
+              misses := !misses + dm
+            end
+          done;
+          let hit_rate =
+            if !hits + !misses = 0 then 0.0
+            else float_of_int !hits /. float_of_int (!hits + !misses)
+          in
+          Printf.printf
+            "%-14s %-6s | %11.3f %11.3f | %7.0f%% %5d/%5d/%-4d %5d/%-5d\n%!"
+            name mode
+            (1000.0 *. !reach_time /. float_of_int (max 1 !reach_n))
+            (1000.0 *. !iso_time /. float_of_int (max 1 !iso_n))
+            (100.0 *. hit_rate)
+            st.Rvaas.Reach_cache.invalidated
+            st.Rvaas.Reach_cache.delta_evictions
+            st.Rvaas.Reach_cache.invalidations
+            (* The second-chance ring must track the live table, not
+               the eviction history (the clock-leak regression). *)
+            (Rvaas.Reach_cache.clock_length cache)
+            st.Rvaas.Reach_cache.clock_purged)
         [ ("full", true); ("delta", false) ])
     cases
 
@@ -2167,7 +2142,7 @@ let e20 () =
      the waiters-on-computation graph: a contained scope rides the broad\n\
      computation as a slice and is answered by arrival-space intersection at\n\
      the shared finalize; under the compiled engine each flush seeds one\n\
-     pooled Plumbing.warm across the points it spans.  Then sliced-vs-\n\
+     Plumbing.warm across the points it spans.  Then sliced-vs-\n\
      per-query differential parity under both engines";
   let strict = Sys.getenv_opt "RVAAS_E20_STRICT" <> None in
   let failures = ref 0 in
@@ -2214,7 +2189,7 @@ let e20 () =
   end;
   if strict && sub_comp.d_pool_warms = 0 then begin
     incr failures;
-    print_endline "E20 strict: no pooled warm was seeded under the compiled engine"
+    print_endline "E20 strict: no per-flush warm was seeded under the compiled engine"
   end;
   List.iter
     (fun (name, engine) ->

@@ -82,7 +82,7 @@ type report = {
 }
 
 (** How a controller incarnation is built.  Supplied by the scenario
-    layer (it owns directory, geo registry, keys, pool): called with
+    layer (it owns directory, geo registry and keys): called with
     the shared journal, the recovered snapshot (or [None] on a fresh
     start), recovered history for the ring, and the existing session
     registration to re-attach over (or [None] to register fresh). *)

@@ -9,17 +9,12 @@ type domain = {
 type domain_state = {
   domain : domain;
   ctx : Verifier.ctx;
-  plumbing : Plumbing.t option; (* compiled engine, [`Compiled] only *)
   trusted : (string, Cryptosim.Keys.public) Hashtbl.t; (* peer name -> key *)
 }
 
-type t = {
-  topo : Netsim.Topology.t;
-  engine : Plumbing.engine;
-  domains : (string * domain_state) list;
-}
+type t = { domains : (string * domain_state) list }
 
-let create ?(engine : Plumbing.engine = `Sweep) topo domains =
+let create topo domains =
   (match domains with [] -> invalid_arg "Federation.create: no domains" | _ -> ());
   List.iter
     (fun sw ->
@@ -42,28 +37,12 @@ let create ?(engine : Plumbing.engine = `Sweep) topo domains =
             if peer.name <> domain.name then
               Hashtbl.replace trusted peer.name (Cryptosim.Keys.public peer.keypair))
           domains;
-        let plumbing =
-          match engine with
-          | `Sweep -> None
-          | `Compiled ->
-            (* Per-domain graph, bounded to the domain's members so
-               cross-domain arrivals surface as handoffs. *)
-            Some
-              (Plumbing.compile ~boundary:domain.member
-                 ~flows_of:domain.flows_of topo)
-        in
-        ( domain.name,
-          {
-            domain;
-            ctx = Verifier.context ~flows_of:domain.flows_of topo;
-            plumbing;
-            trusted;
-          } ))
-      domains;
+        let ctx = Verifier.context ~flows_of:domain.flows_of topo in
+        (domain.name, { domain; ctx; trusted }))
+      domains
   in
-  { topo; engine; domains = states }
+  { domains = states }
 
-let engine t = t.engine
 let state t name = List.assoc_opt name t.domains
 
 let trust t ~of_domain ~peer ~public =
@@ -86,12 +65,7 @@ let domain_of t ~sw =
 let invalidate_switch t ~sw =
   List.iter
     (fun (_, st) ->
-      if st.domain.member sw then begin
-        Verifier.invalidate_switch st.ctx ~sw;
-        match st.plumbing with
-        | Some plumbing -> Plumbing.update plumbing ~sw
-        | None -> ()
-      end)
+      if st.domain.member sw then Verifier.invalidate_switch st.ctx ~sw)
     t.domains
 
 type result = {
@@ -126,7 +100,8 @@ let serialise_sub_answer sa =
 
 (* Evaluate a sub-query inside one domain: local reachability bounded
    to the domain's members. *)
-let sub_answer_of_result st (r : Verifier.reach_result) =
+let local_answer st ~src_sw ~src_port ~hs =
+  let r = Verifier.reach_in st.ctx ~boundary:st.domain.member ~src_sw ~src_port ~hs in
   {
     sa_domain = st.domain.name;
     sa_endpoints = r.Verifier.endpoints;
@@ -135,20 +110,7 @@ let sub_answer_of_result st (r : Verifier.reach_result) =
     sa_handoffs = r.Verifier.handoffs;
   }
 
-let local_answer_with ctx st ~src_sw ~src_port ~hs =
-  sub_answer_of_result st
-    (Verifier.reach_in ctx ~boundary:st.domain.member ~src_sw ~src_port ~hs)
-
-let local_answer st ~src_sw ~src_port ~hs =
-  match st.plumbing with
-  | Some plumbing ->
-    sub_answer_of_result st (Plumbing.reach plumbing ~src_sw ~src_port ~hs)
-  | None -> local_answer_with st.ctx st ~src_sw ~src_port ~hs
-
-let reach ?pool ?deadline t ~start_domain ~src_sw ~src_port ~hs =
-  (match deadline with
-  | Some d when d <= 0.0 -> invalid_arg "Federation.reach: deadline must be positive"
-  | Some _ | None -> ());
+let reach t ~start_domain ~src_sw ~src_port ~hs =
   let start =
     match state t start_domain with
     | Some st -> st
@@ -180,102 +142,52 @@ let reach ?pool ?deadline t ~start_domain ~src_sw ~src_port ~hs =
     end
   in
   enqueue start_domain src_sw src_port hs;
-  (* Each round drains the current frontier: every queued sub-query is
-     already deduplicated against [seen] at enqueue time, so the items
-     are independent and their reach passes can run in parallel.  The
-     merge (signature checks, accumulation, enqueueing the next
-     frontier) stays sequential, which keeps the result bit-identical
-     to a fully sequential run.  Compiled domains always evaluate
-     sequentially: a plumbing graph compiles sources lazily (mutating
-     its tables) and a per-query lookup is cheap anyway. *)
-  let evaluate_round batch =
-    match pool with
-    | Some p
-      when Support.Pool.size p > 1
-           && Array.length batch > 1
-           && t.engine = `Sweep ->
-      let parmap ~init ~f xs =
-        match deadline with
-        | Some deadline -> Support.Pool.parmap_supervised p ~deadline ~init ~f xs
-        | None -> Support.Pool.parmap_init p ~init ~f xs
-      in
-      parmap
-        ~init:(fun () -> Hashtbl.create 4)
-        ~f:(fun ctxs (domain_name, sw, port, hs) ->
-          match state t domain_name with
-          | None -> None
-          | Some st ->
-            (* Per-worker, per-domain contexts: the shared [st.ctx]
-               guard cache is not safe to mutate from several domains. *)
-            let ctx =
-              match Hashtbl.find_opt ctxs domain_name with
-              | Some ctx -> ctx
-              | None ->
-                let ctx = Verifier.context ~flows_of:st.domain.flows_of t.topo in
-                Hashtbl.replace ctxs domain_name ctx;
-                ctx
-            in
-            Some (local_answer_with ctx st ~src_sw:sw ~src_port:port ~hs))
-        batch
-    | Some _ | None ->
-      Array.map
-        (fun (domain_name, sw, port, hs) ->
-          match state t domain_name with
-          | None -> None
-          | Some st -> Some (local_answer st ~src_sw:sw ~src_port:port ~hs))
-        batch
-  in
   while not (Queue.is_empty queue) do
-    let batch = Array.of_seq (Queue.to_seq queue) in
-    Queue.clear queue;
-    let answers = evaluate_round batch in
-    Array.iteri
-      (fun i (domain_name, _, _, _) ->
-        match answers.(i) with
-        | None -> () (* unreachable: handoffs always map to a domain *)
-        | Some answer ->
-          let st = Option.get (state t domain_name) in
-          let is_home = domain_name = start_domain in
-          if not is_home then incr sub_queries;
-          (* Peer sub-answers travel signed; the home server verifies
-             the signature against its trust store before merging. *)
-          let accepted =
-            if is_home then true
-            else begin
-              let body = serialise_sub_answer answer in
-              let signature = Cryptosim.Keys.sign st.domain.keypair body in
-              match Hashtbl.find_opt start.trusted domain_name with
-              | None -> false
-              | Some public -> Cryptosim.Keys.verify ~public body ~signature
-            end
-          in
-          if not accepted then begin
-            if not (List.mem domain_name !untrusted) then
-              untrusted := domain_name :: !untrusted
-          end
-          else begin
-            if not (List.mem domain_name !traversed) then
-              traversed := domain_name :: !traversed;
-            List.iter
-              (fun (ep, arriving) ->
-                let old =
-                  Option.value ~default:(Hspace.Hs.empty width)
-                    (Hashtbl.find_opt endpoints ep)
-                in
-                Hashtbl.replace endpoints ep (Hspace.Hs.union old arriving))
-              answer.sa_endpoints;
-            List.iter
-              (fun j ->
-                if not (List.mem j !jurisdictions) then jurisdictions := j :: !jurisdictions)
-              answer.sa_jurisdictions;
-            List.iter
-              (fun (next_sw, next_port, out) ->
-                match domain_of t ~sw:next_sw with
-                | None -> ()
-                | Some next_domain -> enqueue next_domain next_sw next_port out)
-              answer.sa_handoffs
-          end)
-      batch
+    let domain_name, sw, port, hs = Queue.pop queue in
+    match state t domain_name with
+    | None -> () (* unreachable: handoffs always map to a domain *)
+    | Some st ->
+      let answer = local_answer st ~src_sw:sw ~src_port:port ~hs in
+      let is_home = domain_name = start_domain in
+      if not is_home then incr sub_queries;
+      (* Peer sub-answers travel signed; the home server verifies
+         the signature against its trust store before merging. *)
+      let accepted =
+        if is_home then true
+        else begin
+          let body = serialise_sub_answer answer in
+          let signature = Cryptosim.Keys.sign st.domain.keypair body in
+          match Hashtbl.find_opt start.trusted domain_name with
+          | None -> false
+          | Some public -> Cryptosim.Keys.verify ~public body ~signature
+        end
+      in
+      if not accepted then begin
+        if not (List.mem domain_name !untrusted) then
+          untrusted := domain_name :: !untrusted
+      end
+      else begin
+        if not (List.mem domain_name !traversed) then
+          traversed := domain_name :: !traversed;
+        List.iter
+          (fun (ep, arriving) ->
+            let old =
+              Option.value ~default:(Hspace.Hs.empty width)
+                (Hashtbl.find_opt endpoints ep)
+            in
+            Hashtbl.replace endpoints ep (Hspace.Hs.union old arriving))
+          answer.sa_endpoints;
+        List.iter
+          (fun j ->
+            if not (List.mem j !jurisdictions) then jurisdictions := j :: !jurisdictions)
+          answer.sa_jurisdictions;
+        List.iter
+          (fun (next_sw, next_port, out) ->
+            match domain_of t ~sw:next_sw with
+            | None -> ()
+            | Some next_domain -> enqueue next_domain next_sw next_port out)
+          answer.sa_handoffs
+      end
   done;
   {
     endpoints =

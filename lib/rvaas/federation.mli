@@ -31,15 +31,11 @@ type t
 
 (** [create topo domains] builds a federation over a shared
     internetwork wiring plan.  Every switch must belong to exactly one
-    domain.  [engine] (default [`Sweep]) selects each domain's local
-    verification engine: [`Compiled] gives every domain a {!Plumbing}
-    graph bounded to its members (cross-domain arrivals surface as
-    handoffs exactly as with the bounded sweep), kept current through
-    {!invalidate_switch}.  @raise Invalid_argument otherwise. *)
-val create : ?engine:Plumbing.engine -> Netsim.Topology.t -> domain list -> t
-
-(** [engine t] is the local engine selected at {!create}. *)
-val engine : t -> Plumbing.engine
+    domain.  Each domain answers its sub-queries with a
+    {!Verifier.reach_in} pass bounded to its members, on a verification
+    context of its own kept current through {!invalidate_switch}.
+    @raise Invalid_argument otherwise. *)
+val create : Netsim.Topology.t -> domain list -> t
 
 (** [trust t ~of_domain ~peer ~public] records that [of_domain]'s
     servers accept sub-answers from [peer] signed by [public].  By
@@ -63,23 +59,13 @@ type result = {
           were discarded *)
 }
 
-(** [reach ?pool t ~start_domain ~src_sw ~src_port ~hs] runs the
-    federated reachability query.  When [pool] is given (size > 1),
-    each frontier of sub-queries is evaluated in parallel across the
-    pool — sub-queries to different domains are independent — with
-    per-worker verification contexts; signature checks and answer
-    merging stay sequential, so the result is identical to a
-    sequential run.  Domains' [flows_of] must then be safe to call
-    concurrently (pure reads).  [deadline] (seconds, requires [pool])
-    runs each frontier supervised: a raising or wedged worker costs one
-    sequential retry instead of stalling the federated query.  Under
-    [engine:`Compiled] frontiers evaluate sequentially regardless of
-    [pool] (compiled lookups are cheap; the graphs mutate lazily).
-    @raise Invalid_argument when [start_domain] is unknown, [src_sw] is
-    not one of its members, or [deadline <= 0]. *)
+(** [reach t ~start_domain ~src_sw ~src_port ~hs] runs the federated
+    reachability query.  Sub-queries are evaluated one at a time, in
+    the order their handoffs were found; each peer's sub-answer is
+    signature-checked before it is merged.
+    @raise Invalid_argument when [start_domain] is unknown or [src_sw]
+    is not one of its members. *)
 val reach :
-  ?pool:Support.Pool.t ->
-  ?deadline:float ->
   t ->
   start_domain:string ->
   src_sw:int ->
@@ -91,10 +77,8 @@ val reach :
 val domain_of : t -> sw:int -> string option
 
 (** [invalidate_switch t ~sw] drops the owning domain's cached rule
-    guards for [sw] and, under [engine:`Compiled], applies the
-    incremental delta to the owning domain's plumbing graph.  Call it
-    when that domain's configuration view of [sw] changes; other
-    domains' contexts never read [sw]'s table (reach passes are bounded
-    to domain members) and are left intact.  A no-op when no domain
-    owns [sw]. *)
+    guards for [sw].  Call it when that domain's configuration view of
+    [sw] changes; other domains' contexts never read [sw]'s table
+    (reach passes are bounded to domain members) and are left intact.
+    A no-op when no domain owns [sw]. *)
 val invalidate_switch : t -> sw:int -> unit

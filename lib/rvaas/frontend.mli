@@ -5,8 +5,8 @@
     verification service — the query stream stops looking like the
     paper's interactive workload and starts looking like a flash
     crowd: most concurrent queries are duplicates or refinements of
-    each other, and a single noisy tenant can monopolise the sweep
-    pool.  This module is the pure serving-policy layer {!Service}
+    each other, and a single noisy tenant can monopolise the
+    verifier.  This module is the pure serving-policy layer {!Service}
     puts in front of query evaluation:
 
     + {b admission} — a per-client token bucket ({!limits}: refill

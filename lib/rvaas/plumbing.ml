@@ -12,8 +12,8 @@
    travel with it, and the BFS queue is depth-monotone, so the hop
    bound cuts both runs identically.  Hence the restricted run over
    [hs] arrives exactly where the full-space run arrives, intersected
-   with [hs] — endpoints, controller captures, handoffs and traversal
-   all restrict by intersection.  A Set_field rewrite breaks this
+   with [hs] — endpoints, controller captures and traversal all
+   restrict by intersection.  A Set_field rewrite breaks this
    (arrival spaces are images, not subsets), so a source whose compile
    pass applied any rewrite answers scoped queries by an exact
    propagation over the compiled tables instead (counted in
@@ -41,7 +41,6 @@ type engine = [ `Sweep | `Compiled ]
 type dest =
   | To_host of Verifier.endpoint
   | To_switch of int * int  (* next switch, its ingress port *)
-  | To_handoff of int * int  (* arrival outside the boundary *)
 
 (* One resolved action effect: the rewrites accumulated up to that
    point of the action list, then an emission or controller capture. *)
@@ -81,7 +80,6 @@ type source = {
 type t = {
   flows_of : int -> Ofproto.Flow_entry.spec list;
   topo : Netsim.Topology.t;
-  boundary : int -> bool;
   churn_threshold : int;
   tables : (int * int, node array) Hashtbl.t;  (* (sw, in_port) -> nodes *)
   versions : (int, int) Hashtbl.t;
@@ -103,8 +101,6 @@ let compiled_sources t = Hashtbl.length t.sources
 
 let churn_threshold t = t.churn_threshold
 
-let member_switches t = List.filter t.boundary (Netsim.Topology.switches t.topo)
-
 (* ---- graph construction ---- *)
 
 let resolve_dest t sw out_port =
@@ -116,8 +112,7 @@ let resolve_dest t sw out_port =
     | Netsim.Topology.Host host ->
       Some (To_host { Verifier.host; sw; port = out_port })
     | Netsim.Topology.Switch next_sw ->
-      if t.boundary next_sw then Some (To_switch (next_sw, far.Netsim.Topology.port))
-      else Some (To_handoff (next_sw, far.Netsim.Topology.port)))
+      Some (To_switch (next_sw, far.Netsim.Topology.port)))
 
 (* Resolve a rule's action list against the wiring, mirroring
    {!Verifier.symbolic_apply} step for step: outputs capture the
@@ -191,7 +186,6 @@ type propagation = {
    instead of deriving guards and resolving wiring per visit. *)
 let propagate t ~src_sw ~src_port ~hs =
   let seen : (int * int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 64 in
-  let handoffs : (int * int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 8 in
   let endpoints : (Verifier.endpoint, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 16 in
   let controller : (int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 16 in
   let paths : (Verifier.endpoint, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -258,14 +252,7 @@ let propagate t ~src_sw ~src_port ~hs =
                       !cell @ List.map (fun c -> (c, witness)) (Hspace.Hs.cubes out);
                     if not (Hashtbl.mem paths ep) then Hashtbl.replace paths ep witness
                   | To_switch (next_sw, next_port) ->
-                    enqueue next_sw next_port out (next_sw :: path) (depth + 1)
-                  | To_handoff (next_sw, next_port) ->
-                    let key = (next_sw, next_port) in
-                    let old =
-                      Option.value ~default:(Hspace.Hs.empty width)
-                        (Hashtbl.find_opt handoffs key)
-                    in
-                    Hashtbl.replace handoffs key (Hspace.Hs.union old out)))
+                    enqueue next_sw next_port out (next_sw :: path) (depth + 1)))
               node.steps)
         (match Hashtbl.find_opt t.tables (sw, port) with Some a -> a | None -> [||])
   done;
@@ -282,9 +269,7 @@ let propagate t ~src_sw ~src_port ~hs =
       sample_paths =
         Hashtbl.fold (fun ep path acc -> (ep, path) :: acc) paths []
         |> List.sort (fun (a, _) (b, _) -> compare a b);
-      handoffs =
-        Hashtbl.fold (fun (sw, port) hs acc -> (sw, port, hs) :: acc) handoffs []
-        |> List.sort compare;
+      handoffs = [];
       rule_visits = !rule_visits;
     }
   in
@@ -299,8 +284,7 @@ let propagate t ~src_sw ~src_port ~hs =
 
 (* ---- precomputed sources ---- *)
 
-(* Pure with respect to [t] (reads only), so [warm] can run it from
-   worker domains; stats and table installs happen in the caller. *)
+(* Reads [t] only; stats and the install happen in the caller. *)
 let compile_source t ~src_sw ~src_port =
   let p = propagate t ~src_sw ~src_port ~hs:(Hspace.Hs.full width) in
   let deps =
@@ -366,13 +350,6 @@ let restrict s hs =
           s.s_seen)
       s.s_result.Verifier.traversed
   in
-  let handoffs =
-    List.filter_map
-      (fun (sw, port, space) ->
-        let i = Hspace.Hs.inter space hs in
-        if Hspace.Hs.is_empty i then None else Some (sw, port, i))
-      s.s_result.Verifier.handoffs
-  in
   let scope_cubes = Hspace.Hs.cubes hs in
   let sample_paths =
     List.filter_map
@@ -393,7 +370,7 @@ let restrict s hs =
     controller_hits;
     traversed;
     sample_paths;
-    handoffs;
+    handoffs = [];
     rule_visits = 0;  (* a lookup visits no rules — that is the point *)
   }
 
@@ -432,29 +409,30 @@ let recompile t =
     (fun sw ->
       Hashtbl.replace t.versions sw t.global_version;
       Hashtbl.replace t.stale sw ())
-    (member_switches t)
+    (Netsim.Topology.switches t.topo)
 
 let update t ~sw =
-  if t.boundary sw then begin
-    t.stats.updates <- t.stats.updates + 1;
-    Hashtbl.replace t.dirty sw ();
-    if Hashtbl.length t.dirty > t.churn_threshold then recompile t
-    else begin
-      Hashtbl.replace t.stale sw ();
-      t.global_version <- t.global_version + 1;
-      Hashtbl.replace t.versions sw t.global_version
-    end
+  t.stats.updates <- t.stats.updates + 1;
+  Hashtbl.replace t.dirty sw ();
+  if Hashtbl.length t.dirty > t.churn_threshold then recompile t
+  else begin
+    Hashtbl.replace t.stale sw ();
+    t.global_version <- t.global_version + 1;
+    Hashtbl.replace t.versions sw t.global_version
   end
 
 (* ---- construction ---- *)
 
-let compile ?pool ?churn_threshold ?(boundary = fun _ -> true) ~flows_of topo =
+let compile ?churn_threshold ~flows_of topo =
+  let switches = Netsim.Topology.switches topo in
   let t =
     {
       flows_of;
       topo;
-      boundary;
-      churn_threshold = 0;  (* patched below, needs member count *)
+      churn_threshold =
+        (match churn_threshold with
+        | Some c -> max 1 c
+        | None -> max 4 ((List.length switches + 3) / 4));
       tables = Hashtbl.create 64;
       versions = Hashtbl.create 16;
       global_version = 0;
@@ -474,35 +452,11 @@ let compile ?pool ?churn_threshold ?(boundary = fun _ -> true) ~flows_of topo =
         };
     }
   in
-  let members = member_switches t in
-  let threshold =
-    match churn_threshold with
-    | Some c -> max 1 c
-    | None -> max 4 ((List.length members + 3) / 4)
-  in
-  let t = { t with churn_threshold = threshold } in
-  List.iter (fun sw -> Hashtbl.replace t.versions sw 0) members;
-  (match pool with
-  | Some p when Support.Pool.size p > 1 && List.length members > 1 ->
-    (* Table derivation partitioned over the pool: [compile_port] only
-       reads [flows_of] and the wiring plan (pure reads). *)
-    let xs = Array.of_list members in
-    let derived =
-      Support.Pool.parmap p
-        (fun sw ->
-          List.map
-            (fun port -> (port, compile_port t sw port))
-            (Netsim.Topology.switch_ports t.topo sw))
-        xs
-    in
-    Array.iteri
-      (fun i ports ->
-        List.iter (fun (port, nodes) -> Hashtbl.replace t.tables (xs.(i), port) nodes) ports)
-      derived
-  | Some _ | None -> List.iter (refresh_switch t) members);
+  List.iter (fun sw -> Hashtbl.replace t.versions sw 0) switches;
+  List.iter (refresh_switch t) switches;
   t
 
-let warm ?pool t ~points =
+let warm t ~points =
   flush t;
   let todo =
     List.filter
@@ -512,26 +466,12 @@ let warm ?pool t ~points =
         | None -> true)
       (List.sort_uniq compare points)
   in
-  let install key s =
-    t.stats.source_compiles <- t.stats.source_compiles + 1;
-    Hashtbl.replace t.sources key s
-  in
   if todo <> [] then t.stats.pool_warms <- t.stats.pool_warms + 1;
-  match pool with
-  | Some p when Support.Pool.size p > 1 && List.length todo > 1 ->
-    (* [compile_source] is pure over [t]'s tables; installs and stats
-       stay in this domain. *)
-    let xs = Array.of_list todo in
-    let compiled =
-      Support.Pool.parmap p
-        (fun (sw, port) -> compile_source t ~src_sw:sw ~src_port:port)
-        xs
-    in
-    Array.iteri (fun i s -> install xs.(i) s) compiled
-  | Some _ | None ->
-    List.iter
-      (fun (sw, port) -> install (sw, port) (compile_source t ~src_sw:sw ~src_port:port))
-      todo
+  List.iter
+    (fun (sw, port) ->
+      t.stats.source_compiles <- t.stats.source_compiles + 1;
+      Hashtbl.replace t.sources (sw, port) (compile_source t ~src_sw:sw ~src_port:port))
+    todo
 
 (* ---- instrumentation ---- *)
 
@@ -556,7 +496,7 @@ let graph t =
               | Ctrl _ -> ()
               | Emit (rws, dest) -> (
                 match dest with
-                | To_host _ | To_handoff _ -> incr edges
+                | To_host _ -> incr edges
                 | To_switch (next_sw, next_port) ->
                   let out_bound =
                     List.fold_left

@@ -24,14 +24,10 @@
     switch's node arrays and bumps a per-switch version; precomputed
     sources revalidate lazily against the versions of the switches
     their pass traversed.  An update burst touching more distinct
-    switches than the churn threshold triggers a full recompile.
+    switches than the churn threshold triggers a full recompile. *)
 
-    The module is single-domain: share one [t] per thread of control.
-    Only {!compile} and {!warm} use the optional pool, with pure-read
-    workers and all installs in the calling domain. *)
-
-(** The verification engine selector threaded through
-    {!Service}, {!Federation}, [Scenario.spec] and the CLI. *)
+(** The verification engine selector threaded through {!Service},
+    [Scenario.spec] and the CLI. *)
 type engine = [ `Sweep | `Compiled ]
 
 type t
@@ -52,31 +48,24 @@ type stats = {
   mutable recompiles : int;  (** churn-threshold full recompiles *)
   mutable pool_warms : int;
       (** {!warm} invocations that found >= 1 cold or stale source —
-          the cross-source pooling the front-end seeds per flush *)
+          the cross-source warm the front-end seeds per flush *)
 }
 
-(** [compile ?pool ?churn_threshold ?boundary ~flows_of topo] builds
-    the plumbing graph for every switch satisfying [boundary] (default
-    all).  With a [boundary], arrivals at excluded switches are
-    reported as handoffs, mirroring [Verifier.reach_in ?boundary] —
-    the federation's per-domain view.  [churn_threshold] (default
+(** [compile ?churn_threshold ~flows_of topo] builds the plumbing
+    graph for every switch of [topo].  [churn_threshold] (default
     [max 4 (switches/4)]) bounds the update burst the delta path
-    absorbs before recompiling.  When [pool] is given (size > 1) the
-    per-switch table derivation is partitioned across it; [flows_of]
-    must then be safe for concurrent pure reads. *)
+    absorbs before recompiling. *)
 val compile :
-  ?pool:Support.Pool.t ->
   ?churn_threshold:int ->
-  ?boundary:(int -> bool) ->
   flows_of:(int -> Ofproto.Flow_entry.spec list) ->
   Netsim.Topology.t ->
   t
 
 (** [reach t ~src_sw ~src_port ~hs] answers the same question as
-    {!Verifier.reach_in} on the same configuration view — equal
-    endpoints, arrival spaces (up to {!Hspace.Hs.equal}), controller
-    hits, traversal and handoffs — from the precomputed source,
-    compiling or revalidating it on demand. *)
+    {!Verifier.reach_in} without a boundary on the same configuration
+    view — equal endpoints, arrival spaces (up to {!Hspace.Hs.equal}),
+    controller hits and traversal, and no handoffs — from the
+    precomputed source, compiling or revalidating it on demand. *)
 val reach :
   t -> src_sw:int -> src_port:int -> hs:Hspace.Hs.t -> Verifier.reach_result
 
@@ -84,16 +73,15 @@ val reach :
     are re-derived from [flows_of] and its version bumped, leaving
     every other switch's slice and every non-traversing source
     untouched.  Wire it to {!Monitor.on_snapshot_change}'s [~changed]
-    hook.  A no-op for switches outside the boundary. *)
+    hook. *)
 val update : t -> sw:int -> unit
 
-(** [warm ?pool t ~points] precompiles (or refreshes) the sources for
-    the given [(switch, port)] injection points — typically every
-    access point, or the injection points of one front-end flush —
-    so later queries are pure lookups.  With [pool], source
-    propagation is partitioned across workers.  Counted in
-    [stats.pool_warms] when at least one source needed compiling. *)
-val warm : ?pool:Support.Pool.t -> t -> points:(int * int) list -> unit
+(** [warm t ~points] precompiles (or refreshes) the sources for the
+    given [(switch, port)] injection points — typically every access
+    point, or the injection points of one front-end flush — so later
+    queries are pure lookups.  Counted in [stats.pool_warms] when at
+    least one source needed compiling. *)
+val warm : t -> points:(int * int) list -> unit
 
 val stats : t -> stats
 
@@ -105,7 +93,7 @@ val churn_threshold : t -> int
 
 (** Graph-size instrumentation: rule nodes, plumbing edges (a rule's
     rewritten match bound overlapping a next-hop guard, prefilter
-    rejected first; host/handoff emissions count as one edge each) and
+    rejected first; host emissions count as one edge each) and
     compiled (switch, port) ingress tables. *)
 type graph_stats = { nodes : int; edges : int; ports : int }
 

@@ -11,7 +11,6 @@ type stats = {
   mutable answers_sent : int;
   mutable intercepts_reinstalled : int;
   mutable queries_reissued : int;
-  mutable sweep_faults : int;
 }
 
 type retry = { attempts : int; base_delay : float }
@@ -89,9 +88,6 @@ type t = {
   keypair : Cryptosim.Keys.keypair;
   auth_timeout : float;
   retry : retry;
-  sweep_deadline : float option;
-      (* per-task wall-clock deadline for pool sweeps; enables the
-         supervised pool path so a wedged worker cannot stall answers *)
   mutable live : bool;
       (* cleared by [kill]: a crashed controller's queued timers and
          handlers must become no-ops, not ghost answers *)
@@ -120,8 +116,6 @@ type t = {
   mutable ctx : Verifier.ctx;
       (* incremental verification context: guards cached across queries,
          invalidated per switch when the monitored snapshot changes *)
-  mutable pool : Support.Pool.t;
-      (* worker pool for per-access-point sweeps (isolation queries) *)
   cache : Reach_cache.t;
       (* reach results keyed by (src, hs-hash); the snapshot-change
          hook evicts only entries that traversed the changed switch *)
@@ -150,10 +144,6 @@ let fresh_hex t = Printf.sprintf "%015x" (Support.Rng.bits t.rng)
 
 let topo t = Netsim.Net.topology t.net
 
-let set_pool t pool = t.pool <- pool
-
-let pool t = t.pool
-
 let reach_cache t = t.cache
 
 let plumbing t = t.plumbing
@@ -172,84 +162,6 @@ let reach t ~src_sw ~src_port ~hs =
       let r = Verifier.reach_in t.ctx ~src_sw ~src_port ~hs in
       Reach_cache.add t.cache key ~snapshot:(Monitor.snapshot t.monitor) r;
       r)
-
-(* A frozen, read-only copy of the believed per-switch rule lists:
-   worker domains must not race on the live snapshot hashtable. *)
-let frozen_flows t =
-  let snapshot = Monitor.snapshot t.monitor in
-  let tables = Hashtbl.create 32 in
-  List.iter
-    (fun sw -> Hashtbl.replace tables sw (Snapshot.flows snapshot ~sw))
-    (Snapshot.switches snapshot);
-  fun sw -> Option.value ~default:[] (Hashtbl.find_opt tables sw)
-
-(* One reach pass per source endpoint, cache-first; misses are
-   partitioned over the pool (per-worker contexts on a frozen flow
-   view).  Returns results in input order. *)
-let reach_each_sweep t ~hs points =
-  let snapshot = Monitor.snapshot t.monitor in
-  let looked_up =
-    List.map
-      (fun (p : Verifier.endpoint) ->
-        let key = Reach_cache.key ~src_sw:p.sw ~src_port:p.port ~hs in
-        (p, key, Reach_cache.find t.cache key))
-      points
-  in
-  let missing =
-    List.filter_map
-      (fun (p, key, r) -> if Option.is_none r then Some (p, key) else None)
-      looked_up
-  in
-  let computed =
-    match missing with
-    | [] -> []
-    | _ when Support.Pool.size t.pool > 1 && List.length missing > 1 ->
-      let flows_of = frozen_flows t in
-      let topology = topo t in
-      let init () = Verifier.context ~flows_of topology in
-      let f ctx ((p : Verifier.endpoint), _key) =
-        Verifier.reach_in ctx ~src_sw:p.sw ~src_port:p.port ~hs
-      in
-      let xs = Array.of_list missing in
-      (match t.sweep_deadline with
-      | Some deadline ->
-        (* Supervised: a worker that raises or wedges past [deadline]
-           costs one sequential retry, never a stuck answer. *)
-        Support.Pool.parmap_supervised t.pool ~deadline
-          ~on_fault:(fun _ -> t.stats.sweep_faults <- t.stats.sweep_faults + 1)
-          ~init ~f xs
-      | None -> Support.Pool.parmap_init t.pool ~init ~f xs)
-      |> Array.to_list
-    | _ ->
-      List.map
-        (fun ((p : Verifier.endpoint), _key) ->
-          Verifier.reach_in t.ctx ~src_sw:p.sw ~src_port:p.port ~hs)
-        missing
-  in
-  let fresh = Hashtbl.create 16 in
-  List.iter2
-    (fun ((p : Verifier.endpoint), key) r ->
-      Reach_cache.add t.cache key ~snapshot r;
-      Hashtbl.replace fresh p r)
-    missing computed;
-  List.map
-    (fun (p, _, cached) ->
-      match cached with
-      | Some r -> (p, r)
-      | None -> (p, Hashtbl.find fresh p))
-    looked_up
-
-let reach_each t ~hs points =
-  match t.plumbing with
-  | Some plumbing ->
-    (* Compiled engine: each point is a precomputed-source lookup —
-       cheap enough that partitioning over the pool would cost more in
-       coordination than it saves (and [Plumbing.t] is single-domain). *)
-    List.map
-      (fun (p : Verifier.endpoint) ->
-        (p, Plumbing.reach plumbing ~src_sw:p.sw ~src_port:p.port ~hs))
-      points
-  | None -> reach_each_sweep t ~hs points
 
 (* Restrict a client scope to IP traffic; queries never see non-IP
    control frames. *)
@@ -335,19 +247,18 @@ let evaluate t ~client ~sw ~port (query : Query.t) =
         points
     in
     (* One forward reachability pass per candidate access point — the
-       system's hot path.  Cached results are reused (digest-keyed, so
-       only valid for the current configuration); the remaining passes
-       are partitioned over the worker pool.  A point is a source when
-       its traffic can arrive at any of the client's own points. *)
-    let candidates =
-      List.filter (fun (src : Verifier.endpoint) -> not (List.mem src targets)) points
-    in
+       system's hot path, answered by [reach] (cache-first under the
+       sweep engine, a graph lookup under the compiled one).  A point
+       is a source when its traffic can arrive at any of the client's
+       own points. *)
     let sources =
-      List.filter_map
-        (fun ((src : Verifier.endpoint), (r : Verifier.reach_result)) ->
-          if List.exists (fun (ep, _) -> List.mem ep targets) r.endpoints then Some src
-          else None)
-        (reach_each t ~hs candidates)
+      List.filter
+        (fun (src : Verifier.endpoint) ->
+          (not (List.mem src targets))
+          && List.exists
+               (fun (ep, _) -> List.mem ep targets)
+               (reach t ~src_sw:src.sw ~src_port:src.port ~hs).endpoints)
+        points
     in
     (* The client's own points always belong in the report (they can
        reach the client by definition of its isolation domain). *)
@@ -803,10 +714,10 @@ let flush_frontend t =
   if t.live then begin
     Hashtbl.reset t.queued_nonces;
     let groups = Frontend.flush t.frontend in
-    (* Cross-source pooling: one pooled warm over every injection
-       point this flush evaluates, so cold compiled sources derive in
-       parallel across the worker pool instead of sequentially as
-       each group opens. *)
+    (* Cross-source warm: one warm over every injection point this
+       flush evaluates, so each cold compiled source derives once,
+       before any group opens, instead of on its group's first
+       lookup. *)
     (match t.plumbing with
     | Some plumbing ->
       let points =
@@ -818,7 +729,7 @@ let flush_frontend t =
                   | _ -> None))
              groups)
       in
-      if List.length points > 1 then Plumbing.warm ~pool:t.pool plumbing ~points
+      if List.length points > 1 then Plumbing.warm plumbing ~points
     | None -> ());
     List.iter
       (function
@@ -1064,14 +975,11 @@ let repair_intercepts t ~sw (what : Monitor.observation) =
   if in_flight = [] then Hashtbl.remove t.intercepts_sent sw
   else Hashtbl.replace t.intercepts_sent sw in_flight
 
-let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
-    ?(engine : Plumbing.engine = `Sweep) ?(frontend = Frontend.default_config) net
-    monitor ~directory ~geo ~keypair ~auth_timeout () =
+let create ?(retry = no_retry) ?(engine : Plumbing.engine = `Sweep)
+    ?(frontend = Frontend.default_config) net monitor ~directory ~geo ~keypair
+    ~auth_timeout () =
   if retry.attempts < 1 then invalid_arg "Service.create: retry.attempts must be >= 1";
   if retry.base_delay < 0.0 then invalid_arg "Service.create: negative retry.base_delay";
-  (match sweep_deadline with
-  | Some d when d <= 0.0 -> invalid_arg "Service.create: sweep_deadline must be positive"
-  | _ -> ());
   let t =
     {
       net;
@@ -1081,7 +989,6 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
       keypair;
       auth_timeout;
       retry;
-      sweep_deadline;
       live = true;
       stats =
         {
@@ -1097,7 +1004,6 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
           answers_sent = 0;
           intercepts_reinstalled = 0;
           queries_reissued = 0;
-          sweep_faults = 0;
         };
       rng = Support.Rng.split (Netsim.Sim.rng (Netsim.Net.sim net));
       pending = Hashtbl.create 16;
@@ -1111,8 +1017,7 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
         Verifier.context
           ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)
           (Netsim.Net.topology net);
-      pool = (match pool with Some p -> p | None -> Support.Pool.global ());
-      cache = Reach_cache.create ~capacity:cache_capacity ();
+      cache = Reach_cache.create ();
       intercepts_sent = Hashtbl.create 64;
       plumbing =
         (match engine with
@@ -1120,9 +1025,7 @@ let create ?pool ?(cache_capacity = 4096) ?(retry = no_retry) ?sweep_deadline
         | `Compiled ->
           (* Compiled at create time over the (still mostly empty)
              snapshot; the snapshot-change hook below keeps it current
-             as installs and polls land.  The initial compile stays
-             off the pool: create runs before any query and the tables
-             are tiny at this point. *)
+             as installs and polls land. *)
           Some
             (Plumbing.compile
                ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)

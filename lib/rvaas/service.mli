@@ -48,9 +48,6 @@ type stats = {
           after it was sent) *)
   mutable queries_reissued : int;
       (** in-flight queries re-driven after a crash or failover *)
-  mutable sweep_faults : int;
-      (** worker faults (raise/deadline) absorbed by the supervised
-          pool during isolation sweeps *)
 }
 
 (** Auth-request retransmission policy for lossy control channels:
@@ -72,22 +69,18 @@ type t
     [auth_timeout] is how long the service waits for auth replies
     before answering (seconds).
 
-    [pool] (default {!Support.Pool.global}, sized by [RVAAS_JOBS] or
-    the core count) runs the per-access-point sweeps of isolation
-    queries in parallel.  [cache_capacity] (default 4096) bounds the
-    digest-keyed reach-result cache.  [retry] (default {!no_retry})
-    retransmits unanswered auth requests; when the reply quorum is
-    still incomplete at finalize the answer carries [degraded = true].
-    [sweep_deadline] (default off) runs pool sweeps supervised with the
-    given per-task wall-clock deadline, so a raising or wedged worker
-    domain costs one sequential retry instead of stalling the answer.
+    [retry] (default {!no_retry}) retransmits unanswered auth
+    requests; when the reply quorum is still incomplete at finalize
+    the answer carries [degraded = true].
 
     [engine] (default [`Sweep]) selects the verification engine:
     [`Sweep] answers each reach question with a cache-first
-    {!Verifier.reach_in} pass; [`Compiled] compiles the monitored view
-    into a {!Plumbing} graph maintained incrementally by the
-    snapshot-change hook, answering steady-state questions by lookup
-    (the reach cache and pool sweeps are bypassed).
+    {!Verifier.reach_in} pass on the service's own context, whose
+    rule guards stay warm across queries, through a {!Reach_cache} of
+    4096 results; [`Compiled] compiles the monitored view into a
+    {!Plumbing} graph maintained incrementally by the snapshot-change
+    hook, answering steady-state questions by lookup (the reach cache
+    is bypassed).  Every reach pass runs in the calling domain.
 
     [frontend] (default {!Frontend.default_config}: admit everything,
     no coalescing, no settle tick — the historical behaviour) puts the
@@ -101,18 +94,15 @@ type t
     injection point rides it as a slice, its answer cut out of the
     subsumer's arrival spaces at the shared finalize (rewrite-tainted
     regions fall back to per-query evaluation).  Under [`Compiled],
-    each flush additionally seeds one pooled {!Plumbing.warm} over
-    every injection point it spans, so cold sources compile across
-    the worker pool instead of sequentially.  Recovery re-issues
-    ({!reissue}) bypass it.  Works under both engines.
+    each flush with more than one injection point first seeds one
+    {!Plumbing.warm} over all of them, so every cold source compiles
+    once before any group opens.  Recovery re-issues ({!reissue})
+    bypass it.  Works under both engines.
     @raise Invalid_argument on a retry policy with [attempts < 1], a
-    negative [base_delay], [sweep_deadline <= 0], or an invalid
-    front-end config (see {!Frontend.create}). *)
+    negative [base_delay], or an invalid front-end config (see
+    {!Frontend.create}). *)
 val create :
-  ?pool:Support.Pool.t ->
-  ?cache_capacity:int ->
   ?retry:retry ->
-  ?sweep_deadline:float ->
   ?engine:Plumbing.engine ->
   ?frontend:Frontend.config ->
   Netsim.Net.t ->
@@ -123,13 +113,6 @@ val create :
   auth_timeout:float ->
   unit ->
   t
-
-(** [set_pool t pool] replaces the worker pool (benchmarks sweep the
-    worker count on one service instance). *)
-val set_pool : t -> Support.Pool.t -> unit
-
-(** [pool t] is the pool currently in use. *)
-val pool : t -> Support.Pool.t
 
 (** [reach_cache t] exposes the incremental reach-result cache — its
     hit/miss statistics are the subject of experiments E13 and E15, and
@@ -175,7 +158,15 @@ val code_identity : string
     query directly (no in-band round) — the building block the in-band
     path shares; exposed for tests and benchmarks.  Returns the answer
     with all [endpoints] unauthenticated and the probe list the in-band
-    path would test. *)
+    path would test.
+
+    [Isolation] and [Sources_reaching_me] are all-source questions:
+    their probe list is the client's own access points, then every
+    other access point from which some traffic (any IP traffic for
+    [Isolation], the effective scope for [Sources_reaching_me])
+    arrives at one of them, in {!Verifier.access_points} order.  That
+    costs one reach pass per access point, each answered by {!reach}
+    in the calling domain. *)
 val evaluate :
   t ->
   client:int ->

@@ -111,8 +111,6 @@ let invalidate_switch ctx ~sw =
   in
   List.iter (Hashtbl.remove ctx.guards_cache) stale
 
-let cached_ports ctx = Hashtbl.length ctx.guards_cache
-
 let reach_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
   let topo = ctx.topo in
   let seen : (int * int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 64 in
@@ -222,30 +220,17 @@ let access_points topo =
       | Some _ | None -> None)
     (Netsim.Topology.hosts topo)
 
-let sources_reaching ?pool ~flows_of topo ~dst ~hs =
-  let sources = List.filter (fun src -> src <> dst) (access_points topo) in
-  let arriving_at_dst ctx src =
-    let result = reach_in ctx ~src_sw:src.sw ~src_port:src.port ~hs in
-    List.find_map
-      (fun (ep, arriving) -> if ep = dst then Some (src, arriving) else None)
-      result.endpoints
-  in
-  let per_source =
-    match pool with
-    | Some pool when Support.Pool.size pool > 1 ->
-      (* One reach pass per access point, partitioned over the pool.
-         Guard caches are not thread-safe, so each worker derives its
-         own context; [parmap] preserves input order, keeping results
-         identical to the sequential path. *)
-      Array.to_list
-        (Support.Pool.parmap_init pool
-           ~init:(fun () -> context ~flows_of topo)
-           ~f:arriving_at_dst (Array.of_list sources))
-    | Some _ | None ->
-      let ctx = context ~flows_of topo in
-      List.map (arriving_at_dst ctx) sources
-  in
-  List.filter_map Fun.id per_source
+let sources_reaching ~flows_of topo ~dst ~hs =
+  let ctx = context ~flows_of topo in
+  List.filter_map
+    (fun src ->
+      if src = dst then None
+      else
+        let result = reach_in ctx ~src_sw:src.sw ~src_port:src.port ~hs in
+        List.find_map
+          (fun (ep, arriving) -> if ep = dst then Some (src, arriving) else None)
+          result.endpoints)
+    (access_points topo)
 
 let ip_traffic_hs () =
   Hspace.Hs.of_cube

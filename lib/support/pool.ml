@@ -1,384 +1,1 @@
-type batch = {
-  bm : Mutex.t;
-  finished : Condition.t;
-  mutable remaining : int;
-  mutable failed : (int * exn * Printexc.raw_backtrace) option;
-      (* smallest failing input index — what a sequential run would
-         raise first *)
-}
-
-(* Worker domains are tracked individually so a wedged one can be
-   abandoned: OCaml domains cannot be killed, so supervision marks the
-   domain as a zombie (never joined, its late results discarded) and
-   spawns a replacement under a fresh slot. *)
-type worker = { wslot : int; wdomain : unit Domain.t; mutable wzombie : bool }
-
-type t = {
-  size : int;
-  mutex : Mutex.t;
-  nonempty : Condition.t;
-  jobs : (int -> unit) Queue.t; (* a job receives its runner's slot *)
-  mutable workers : worker list;
-  mutable next_slot : int; (* slots ever allocated (0 = the caller) *)
-  mutable respawns : int;
-  mutable stopped : bool;
-}
-
-(* Set while a domain is executing a pool job: nested [parmap] calls
-   fall back to sequential instead of re-entering the (single, shared)
-   job queue, so they can never deadlock. *)
-let inside_job : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-let create size =
-  if size < 1 then invalid_arg "Pool.create: size must be >= 1";
-  {
-    size;
-    mutex = Mutex.create ();
-    nonempty = Condition.create ();
-    jobs = Queue.create ();
-    workers = [];
-    next_slot = size;
-    respawns = 0;
-    stopped = false;
-  }
-
-let size t = t.size
-
-let respawns t = t.respawns
-
-let default_size () =
-  let hw () = max 1 (Domain.recommended_domain_count ()) in
-  match Sys.getenv_opt "RVAAS_JOBS" with
-  | None -> hw ()
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> hw ())
-
-let global_pool = ref None
-
-let global () =
-  match !global_pool with
-  | Some p -> p
-  | None ->
-    let p = create (default_size ()) in
-    global_pool := Some p;
-    p
-
-let run_job job slot =
-  let inside = Domain.DLS.get inside_job in
-  inside := true;
-  Fun.protect ~finally:(fun () -> inside := false) (fun () -> job slot)
-
-let worker_loop t slot =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    let rec take () =
-      if t.stopped then None
-      else
-        match Queue.take_opt t.jobs with
-        | Some job -> Some job
-        | None ->
-          Condition.wait t.nonempty t.mutex;
-          take ()
-    in
-    let job = take () in
-    Mutex.unlock t.mutex;
-    match job with
-    | None -> ()
-    | Some job ->
-      run_job job slot;
-      loop ()
-  in
-  loop ()
-
-let spawn_worker t slot =
-  { wslot = slot; wdomain = Domain.spawn (fun () -> worker_loop t slot); wzombie = false }
-
-let ensure_workers t =
-  if t.workers = [] && t.size > 1 && not t.stopped then
-    t.workers <- List.init (t.size - 1) (fun k -> spawn_worker t (k + 1))
-
-(* Abandon the (non-zombie) worker on [slot] and spawn a replacement
-   under a fresh slot.  The zombie keeps running whatever wedged it; it
-   is never joined, and any result it eventually produces is discarded
-   by the superseded check of the batch that timed it out. *)
-let abandon_worker t slot =
-  Mutex.lock t.mutex;
-  (match List.find_opt (fun w -> w.wslot = slot && not w.wzombie) t.workers with
-  | None -> () (* the caller's slot, or a worker already abandoned *)
-  | Some w ->
-    w.wzombie <- true;
-    t.respawns <- t.respawns + 1;
-    let slot' = t.next_slot in
-    t.next_slot <- slot' + 1;
-    t.workers <- spawn_worker t slot' :: t.workers);
-  Mutex.unlock t.mutex
-
-let run_sequential ~init ~f xs =
-  if Array.length xs = 0 then [||]
-  else
-    let state = init () in
-    Array.map (f state) xs
-
-(* Per-slot worker state for one parallel call.  A slot whose [init]
-   raised is poisoned: the exception is replayed for every task landing
-   there instead of re-running a failing [init] (with its partial side
-   effects) once per queued task — the domain stays clean and the
-   caller re-raises the original exception like any task failure. *)
-type 'c slot_state = Ready of 'c | Poisoned of exn * Printexc.raw_backtrace
-
-let parmap_init t ~init ~f xs =
-  let n = Array.length xs in
-  if n <= 1 || t.size = 1 || t.stopped || !(Domain.DLS.get inside_job) then
-    run_sequential ~init ~f xs
-  else begin
-    ensure_workers t;
-    let results = Array.make n None in
-    let states = Array.make t.next_slot None in
-    let batch =
-      { bm = Mutex.create (); finished = Condition.create (); remaining = n; failed = None }
-    in
-    let job i slot =
-      let state =
-        match states.(slot) with
-        | Some (Ready s) -> Ok s
-        | Some (Poisoned (e, bt)) -> Error (e, bt)
-        | None -> (
-          try
-            let s = init () in
-            states.(slot) <- Some (Ready s);
-            Ok s
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            states.(slot) <- Some (Poisoned (e, bt));
-            Error (e, bt))
-      in
-      let outcome =
-        match state with
-        | Error _ as err -> err
-        | Ok s -> ( try Ok (f s xs.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()))
-      in
-      (match outcome with Ok v -> results.(i) <- Some v | Error _ -> ());
-      Mutex.lock batch.bm;
-      (match outcome with
-      | Ok _ -> ()
-      | Error (e, bt) -> (
-        match batch.failed with
-        | Some (j, _, _) when j < i -> ()
-        | Some _ | None -> batch.failed <- Some (i, e, bt)));
-      batch.remaining <- batch.remaining - 1;
-      if batch.remaining = 0 then Condition.broadcast batch.finished;
-      Mutex.unlock batch.bm
-    in
-    Mutex.lock t.mutex;
-    for i = 0 to n - 1 do
-      Queue.add (job i) t.jobs
-    done;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    (* The caller participates (slot 0) until the queue drains, then
-       waits out the jobs still in flight on other domains. *)
-    let continue = ref true in
-    while !continue do
-      Mutex.lock t.mutex;
-      let job = Queue.take_opt t.jobs in
-      Mutex.unlock t.mutex;
-      match job with
-      | Some job -> run_job job 0
-      | None -> continue := false
-    done;
-    Mutex.lock batch.bm;
-    while batch.remaining > 0 do
-      Condition.wait batch.finished batch.bm
-    done;
-    Mutex.unlock batch.bm;
-    (match batch.failed with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let parmap t f xs = parmap_init t ~init:(fun () -> ()) ~f:(fun () x -> f x) xs
-
-let map_list t f xs = Array.to_list (parmap t f (Array.of_list xs))
-
-(* ---- supervised sweeps ---- *)
-
-type fault_reason =
-  | Task_raised of exn
-  | Init_raised of exn
-  | Deadline_exceeded of float
-
-type fault = { fault_index : int; fault_slot : int; reason : fault_reason }
-
-let pp_fault_reason ppf = function
-  | Task_raised e -> Format.fprintf ppf "task raised %s" (Printexc.to_string e)
-  | Init_raised e -> Format.fprintf ppf "worker init raised %s" (Printexc.to_string e)
-  | Deadline_exceeded d -> Format.fprintf ppf "deadline %.3fs exceeded" d
-
-(* The caller does not take tasks here: it supervises.  Workers record
-   each task's wall-clock start in [inflight]; the supervisor polls,
-   and a task past [deadline] is superseded (late results discarded),
-   its domain abandoned + respawned, and the task re-run sequentially
-   in the caller — so a raising or wedged worker degrades one task to
-   sequential instead of wedging the whole sweep. *)
-let parmap_supervised t ?deadline ?(poll_interval = 1e-3)
-    ?(clock = Unix.gettimeofday) ?(on_fault = fun _ -> ()) ~init ~f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else if t.size = 1 || t.stopped || !(Domain.DLS.get inside_job) then
-    run_sequential ~init ~f xs
-  else begin
-    ensure_workers t;
-    let bm = Mutex.create () in
-    let results = Array.make n None in
-    let remaining = ref n in
-    let retries = Queue.create () in
-    let fault_log = Queue.create () in
-    let superseded = Array.make n false in
-    (* input index -> (slot, wall-clock start) while a worker runs it *)
-    let inflight : (int, int * float) Hashtbl.t = Hashtbl.create 8 in
-    let states : (int, 'c slot_state) Hashtbl.t = Hashtbl.create 8 in
-    let job i slot =
-      Mutex.lock bm;
-      Hashtbl.replace inflight i (slot, clock ());
-      let cell = Hashtbl.find_opt states slot in
-      Mutex.unlock bm;
-      let state =
-        match cell with
-        | Some (Ready s) -> Ok s
-        | Some (Poisoned (e, _)) -> Error (Init_raised e)
-        | None -> (
-          try
-            let s = init () in
-            Mutex.lock bm;
-            Hashtbl.replace states slot (Ready s);
-            Mutex.unlock bm;
-            Ok s
-          with e ->
-            let bt = Printexc.get_raw_backtrace () in
-            Mutex.lock bm;
-            Hashtbl.replace states slot (Poisoned (e, bt));
-            Mutex.unlock bm;
-            Error (Init_raised e))
-      in
-      let outcome =
-        match state with
-        | Error _ as err -> err
-        | Ok s -> ( try Ok (f s xs.(i)) with e -> Error (Task_raised e))
-      in
-      Mutex.lock bm;
-      if not superseded.(i) then begin
-        Hashtbl.remove inflight i;
-        match outcome with
-        | Ok v ->
-          results.(i) <- Some v;
-          decr remaining
-        | Error reason ->
-          Queue.add { fault_index = i; fault_slot = slot; reason } fault_log;
-          Queue.add i retries
-      end;
-      Mutex.unlock bm
-    in
-    Mutex.lock t.mutex;
-    for i = 0 to n - 1 do
-      Queue.add (job i) t.jobs
-    done;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    (* Supervisor loop.  [failed] keeps the smallest-index exception of
-       a sequential retry that itself failed — re-raised once the sweep
-       is fully resolved, matching [parmap_init] semantics. *)
-    let failed = ref None in
-    let record_failed i e bt =
-      match !failed with
-      | Some (j, _, _) when j < i -> ()
-      | Some _ | None -> failed := Some (i, e, bt)
-    in
-    let caller_state = ref None in
-    let caller_init () =
-      match !caller_state with
-      | Some s -> s
-      | None ->
-        let s = init () in
-        caller_state := Some s;
-        s
-    in
-    let retry_in_caller i =
-      let outcome =
-        let inside = Domain.DLS.get inside_job in
-        inside := true;
-        Fun.protect
-          ~finally:(fun () -> inside := false)
-          (fun () ->
-            try Ok (f (caller_init ()) xs.(i))
-            with e -> Error (e, Printexc.get_raw_backtrace ()))
-      in
-      Mutex.lock bm;
-      (match outcome with
-      | Ok v -> results.(i) <- Some v
-      | Error (e, bt) -> record_failed i e bt);
-      decr remaining;
-      Mutex.unlock bm
-    in
-    let continue = ref true in
-    while !continue do
-      Mutex.lock bm;
-      let faults = List.rev (Queue.fold (fun acc fl -> fl :: acc) [] fault_log) in
-      Queue.clear fault_log;
-      let retry = Queue.take_opt retries in
-      let rem = !remaining in
-      Mutex.unlock bm;
-      List.iter on_fault faults;
-      match retry with
-      | Some i -> retry_in_caller i
-      | None ->
-        if rem = 0 then continue := false
-        else begin
-          let expired =
-            match deadline with
-            | None -> []
-            | Some d ->
-              let now = clock () in
-              Mutex.lock bm;
-              let expired =
-                Hashtbl.fold
-                  (fun i (slot, start) acc ->
-                    if now -. start > d then (i, slot) :: acc else acc)
-                  inflight []
-              in
-              List.iter
-                (fun (i, slot) ->
-                  Hashtbl.remove inflight i;
-                  superseded.(i) <- true;
-                  Queue.add
-                    { fault_index = i; fault_slot = slot; reason = Deadline_exceeded d }
-                    fault_log;
-                  Queue.add i retries)
-                expired;
-              Mutex.unlock bm;
-              expired
-          in
-          (match expired with
-          | [] -> Unix.sleepf poll_interval
-          | _ -> List.iter (fun (_, slot) -> abandon_worker t slot) expired)
-        end
-    done;
-    (match !failed with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let shutdown t =
-  if not t.stopped then begin
-    Mutex.lock t.mutex;
-    t.stopped <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex;
-    (* Zombie domains are stuck in an abandoned task and can never be
-       joined; they exit (or leak with the process) on their own. *)
-    List.iter (fun w -> if not w.wzombie then Domain.join w.wdomain) t.workers;
-    t.workers <- []
-  end
+let default_size () = max 1 (Domain.recommended_domain_count ())

@@ -1,127 +1,10 @@
-(** A fixed pool of worker domains for data-parallel sweeps.
+(** The visible core count.
 
-    Header-space verification is embarrassingly parallel across query
-    sources, so the hot paths ({!Rvaas.Verifier.sources_reaching}, the
-    isolation sweep in {!Rvaas.Service}, {!Rvaas.Federation} fan-out)
-    partition their work over a pool of OCaml 5 domains.  The pool is
-    deliberately small and dependency-free:
+    Every reach pass runs in the calling domain; nothing in the
+    library spawns worker domains.  What is left here is the core
+    count that benchmark harnesses print next to their numbers, so a
+    timing can be read against the hardware that produced it. *)
 
-    - [parmap] preserves input order, so parallel and sequential runs
-      produce identical results;
-    - exceptions raised by tasks are re-raised in the caller (the one
-      with the smallest input index, matching what a sequential run
-      would raise first);
-    - a pool of size 1 — and any call made from inside a pool worker —
-      degrades to a plain sequential map in the calling domain, so
-      nested use cannot deadlock and tests can force determinism.
-
-    Worker domains are spawned lazily on the first parallel call and
-    are shared for the pool's lifetime; [shutdown] joins them.  A pool
-    must only be driven from one domain at a time (the simulator and
-    service are single-threaded; workers exist only inside a [parmap]
-    call). *)
-
-type t
-
-(** [create size] makes a pool of total parallelism [size] ≥ 1.  The
-    caller participates in the sweep, so [size - 1] worker domains are
-    spawned (lazily).  @raise Invalid_argument when [size < 1]. *)
-val create : int -> t
-
-(** [size t] is the parallelism degree [create] was given. *)
-val size : t -> int
-
-(** [default_size ()] is the [RVAAS_JOBS] environment variable when set
-    to a positive integer, otherwise [Domain.recommended_domain_count
-    ()] — i.e. "use the hardware" unless told otherwise. *)
+(** [default_size ()] is [Domain.recommended_domain_count ()], at
+    least 1. *)
 val default_size : unit -> int
-
-(** [global ()] is a process-wide shared pool of [default_size ()],
-    created on first use.  {!Rvaas.Service} uses it by default so that
-    every service instance shares one set of worker domains (domains
-    are an OS-level resource; spawning a pool per service would
-    exhaust them). *)
-val global : unit -> t
-
-(** [parmap t f xs] maps [f] over [xs] using the pool.  Output index
-    [i] holds [f xs.(i)]; ordering is deterministic regardless of
-    scheduling. *)
-val parmap : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [parmap_init t ~init ~f xs] is [parmap] with per-worker state:
-    [init ()] runs at most once per participating domain (lazily, on
-    its first task of this call) and its result is passed to every
-    [f] invocation that domain executes.  Used to give each worker its
-    own {!Rvaas.Verifier} context — their guard caches are not
-    thread-safe to share.  An [init] that raises poisons its slot for
-    the rest of the call (it is not re-run per task) and the exception
-    is re-raised in the caller exactly like a task exception. *)
-val parmap_init : t -> init:(unit -> 'c) -> f:('c -> 'a -> 'b) -> 'a array -> 'b array
-
-(** [map_list t f xs] is [parmap] over a list. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** {1 Supervised sweeps}
-
-    {!parmap_supervised} trades a little latency for liveness: the
-    caller acts as a supervisor instead of taking tasks, so a worker
-    that raises — or wedges past a wall-clock deadline — costs one
-    sequential retry rather than the whole sweep.  This is what keeps
-    the verification service answering queries when a verifier context
-    hits a pathological input (the paper's availability requirement:
-    the verifier must outlive the faults of what it audits). *)
-
-(** Why a task left the parallel path. *)
-type fault_reason =
-  | Task_raised of exn  (** the task function raised *)
-  | Init_raised of exn  (** the worker's [init] raised (slot poisoned) *)
-  | Deadline_exceeded of float
-      (** ran past the deadline (seconds); its domain was abandoned *)
-
-type fault = {
-  fault_index : int;  (** input index of the affected task *)
-  fault_slot : int;  (** pool slot of the domain that ran it *)
-  reason : fault_reason;
-}
-
-val pp_fault_reason : Format.formatter -> fault_reason -> unit
-
-(** [parmap_supervised t ?deadline ?poll_interval ?on_fault ~init ~f xs]
-    is {!parmap_init} under supervision:
-
-    - a task that raises (or lands on a slot whose [init] raised) is
-      retried sequentially in the caller; only a retry that {e also}
-      fails re-raises (smallest input index first, like {!parmap});
-    - with [?deadline] (wall-clock seconds per task), a task running
-      past it is abandoned: its domain is marked zombie (OCaml domains
-      cannot be killed — any late result is discarded), a replacement
-      domain is spawned on a fresh slot, and the task is retried
-      sequentially in the caller;
-    - every incident is reported to [?on_fault] from the caller's
-      domain before the sweep returns;
-    - results are order-preserving and identical to a sequential run.
-
-    [?poll_interval] (default 1ms) is how often the supervisor scans
-    for deadline overruns.  [?clock] (default [Unix.gettimeofday])
-    supplies the wall clock used to stamp task starts and judge
-    deadline expiry — tests inject a deterministic clock so deadline
-    behaviour cannot race slow CI runners.  Degrades to a sequential
-    map exactly when {!parmap} would. *)
-val parmap_supervised :
-  t ->
-  ?deadline:float ->
-  ?poll_interval:float ->
-  ?clock:(unit -> float) ->
-  ?on_fault:(fault -> unit) ->
-  init:(unit -> 'c) ->
-  f:('c -> 'a -> 'b) ->
-  'a array ->
-  'b array
-
-(** [respawns t] counts worker domains respawned after deadline
-    abandonment over the pool's lifetime. *)
-val respawns : t -> int
-
-(** [shutdown t] stops and joins the worker domains.  Subsequent calls
-    on [t] degrade to sequential maps; shutdown is idempotent. *)
-val shutdown : t -> unit

@@ -6,7 +6,9 @@
    - Delta invalidation: a Flow-Mod on switch [s] evicts exactly the
      entries whose reach pass traversed [s]; surviving entries still
      hit and agree with a fresh recomputation by the eager-guard
-     reference verifier. *)
+     reference verifier.
+   - Through the service: a cached isolation answer never masks a
+     rule-injection attack. *)
 
 let check = Alcotest.check
 
@@ -108,10 +110,10 @@ let test_clock_queue_bounded () =
 
 (* ---- system level: Flow-Mod on one switch, queries on others ---- *)
 
-let build topo =
+let build ?(isolation = false) topo =
   let s =
     Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with clients = 2; isolation = false }
+      { (Workload.Scenario.default_spec topo) with clients = 2; isolation }
   in
   Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
   s
@@ -199,6 +201,48 @@ let test_delta_invalidation_end_to_end () =
   check Alcotest.bool "evicted entry recomputed" true
     (stats.Rvaas.Reach_cache.misses > misses0)
 
+(* ---- service level: the cache never masks an attack ---- *)
+
+let evaluate_isolation s =
+  let topo = Netsim.Net.topology s.Workload.Scenario.net in
+  let att = Option.get (Netsim.Topology.host_attachment topo 0) in
+  let sw =
+    match att.Netsim.Topology.node with
+    | Netsim.Topology.Switch sw -> sw
+    | Netsim.Topology.Host _ -> assert false
+  in
+  snd
+    (Rvaas.Service.evaluate s.service ~client:0 ~sw ~port:att.Netsim.Topology.port
+       (Rvaas.Query.make Rvaas.Query.Isolation))
+  |> List.map (fun (ep : Rvaas.Verifier.endpoint) ->
+         Printf.sprintf "%d/%d/%d" ep.host ep.sw ep.port)
+
+let test_cache_attack_detected () =
+  let s =
+    build ~isolation:true (Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4)
+  in
+  let cache = Rvaas.Service.reach_cache s.service in
+  let stats = Rvaas.Reach_cache.stats cache in
+  let before = evaluate_isolation s in
+  let hits0 = stats.Rvaas.Reach_cache.hits in
+  let warm = evaluate_isolation s in
+  check Alcotest.(list string) "warm answer identical" before warm;
+  check Alcotest.bool "repeat query served from cache" true
+    (stats.Rvaas.Reach_cache.hits > hits0);
+  (* The attacker (client 1's host) injects Flow-Mods joining client
+     0's isolation domain.  The monitor's snapshot-change hook must
+     evict the cached results that traversed the modified switch so
+     the next evaluation sees the new rules. *)
+  Sdnctl.Attack.launch s.net s.addressing
+    ~conn:(Sdnctl.Provider.conn s.provider)
+    (Sdnctl.Attack.Join { victim_client = 0; attacker_host = 1 });
+  Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
+  check Alcotest.bool "snapshot change evicted stale entries" true
+    (stats.Rvaas.Reach_cache.delta_evictions > 0);
+  let after = evaluate_isolation s in
+  check Alcotest.bool "attacker's access point surfaces despite caching" true
+    (List.exists (fun p -> not (List.mem p before)) after)
+
 let () =
   Alcotest.run "cache"
     [
@@ -209,5 +253,10 @@ let () =
           Alcotest.test_case "clock queue stays bounded" `Quick test_clock_queue_bounded;
           Alcotest.test_case "delta invalidation end-to-end" `Quick
             test_delta_invalidation_end_to_end;
+        ] );
+      ( "service",
+        [
+          Alcotest.test_case "cache never masks an attack" `Quick
+            test_cache_attack_detected;
         ] );
     ]

@@ -145,6 +145,104 @@ let test_sources_scoped () =
   let answer = ask s ~host:0 (Rvaas.Query.make ~scope:tcp Rvaas.Query.Sources_reaching_me) in
   check Alcotest.bool "own points reported" true (answer.endpoints <> [])
 
+(* ---- all-source answers against the reference verifier ---- *)
+
+let endpoint_id (ep : Rvaas.Verifier.endpoint) =
+  Printf.sprintf "%d/%d/%d" ep.host ep.sw ep.port
+
+(* The probe list an all-source query must produce, derived from the
+   access points, the addressing plan and [Verifier_ref] over the
+   monitored view: the client's own points, then every other point
+   from which some traffic in [hs] arrives at one of them. *)
+let oracle_probes s ~client ~hs =
+  let topo = Netsim.Net.topology s.Workload.Scenario.net in
+  let snapshot = Rvaas.Monitor.snapshot s.monitor in
+  let flows_of sw = Rvaas.Snapshot.flows snapshot ~sw in
+  let points = Rvaas.Verifier.access_points topo in
+  let own_hosts =
+    List.map
+      (fun (h : Sdnctl.Addressing.host_info) -> h.host)
+      (Sdnctl.Addressing.hosts_of_client s.addressing ~client)
+  in
+  let own, others =
+    List.partition
+      (fun (ep : Rvaas.Verifier.endpoint) -> List.mem ep.host own_hosts)
+      points
+  in
+  let reaches_own (src : Rvaas.Verifier.endpoint) =
+    let r =
+      Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:src.sw ~src_port:src.port ~hs
+    in
+    List.exists (fun (ep, _) -> List.mem ep own) r.Rvaas.Verifier.endpoints
+  in
+  List.map endpoint_id (own @ List.filter reaches_own others)
+
+let test_all_source_oracle topo engine () =
+  let s =
+    Workload.Scenario.build { (Workload.Scenario.default_spec topo) with engine }
+  in
+  let settle () =
+    Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3)
+  in
+  settle ();
+  let client = 0 in
+  let att = Option.get (Netsim.Topology.host_attachment topo 0) in
+  let sw =
+    match att.Netsim.Topology.node with
+    | Netsim.Topology.Switch sw -> sw
+    | Netsim.Topology.Host _ -> assert false
+  in
+  let ip = Rvaas.Verifier.ip_traffic_hs () in
+  (* The join attack only diverts traffic addressed to the victim, so
+     a scope of traffic to the other client's subnet must keep the
+     attacker out of the answer. *)
+  let elsewhere =
+    let value, prefix_len = Sdnctl.Addressing.subnet s.addressing ~client:1 in
+    Rvaas.Verifier.dst_prefix_hs ~value ~prefix_len
+  in
+  (* (label, query, the oracle's scope): Isolation always asks about
+     all IP traffic, whatever scope the client sent; Sources_reaching_me
+     about its effective scope. *)
+  let questions =
+    [
+      ("isolation", Rvaas.Query.make Rvaas.Query.Isolation, ip);
+      ("isolation, scoped", Rvaas.Query.make ~scope:elsewhere Rvaas.Query.Isolation, ip);
+      ("sources", Rvaas.Query.make Rvaas.Query.Sources_reaching_me, ip);
+      ( "sources, scoped",
+        Rvaas.Query.make ~scope:elsewhere Rvaas.Query.Sources_reaching_me,
+        Hspace.Hs.inter elsewhere ip );
+    ]
+  in
+  let answers phase =
+    List.map
+      (fun (label, query, hs) ->
+        let expected = oracle_probes s ~client ~hs in
+        let _, probes =
+          Rvaas.Service.evaluate s.service ~client ~sw
+            ~port:att.Netsim.Topology.port query
+        in
+        check
+          Alcotest.(list string)
+          (Printf.sprintf "%s, %s" label phase)
+          expected (List.map endpoint_id probes);
+        expected)
+      questions
+  in
+  let before = answers "before the attack" in
+  (* Two attackers, so the order of the sources is checked too. *)
+  List.iter
+    (fun attacker_host ->
+      Sdnctl.Attack.launch s.net s.addressing
+        ~conn:(Sdnctl.Provider.conn s.provider)
+        (Sdnctl.Attack.Join { victim_client = client; attacker_host }))
+    [ 1; 3 ];
+  settle ();
+  let after = answers "after a join attack" in
+  check Alcotest.bool "the attack changed the isolation answer" true
+    (List.nth before 0 <> List.nth after 0);
+  check Alcotest.bool "the scope kept the attacker out" true
+    (List.nth after 2 <> List.nth after 3)
+
 (* ---- service statistics across a query ---- *)
 
 let test_service_stats_progress () =
@@ -245,6 +343,7 @@ let test_agent_ignores_foreign_answers () =
     (List.length (Rvaas.Client_agent.outcomes agent))
 
 let () =
+  let p = Workload.Topogen.default_params in
   Alcotest.run "queries"
     [
       ( "kinds",
@@ -256,6 +355,20 @@ let () =
           Alcotest.test_case "transfer end-to-end" `Quick test_transfer_summary_end_to_end;
           Alcotest.test_case "sources scoped" `Quick test_sources_scoped;
         ] );
+      ( "all-source",
+        List.concat_map
+          (fun (name, topo) ->
+            List.map
+              (fun (engine_name, engine) ->
+                Alcotest.test_case
+                  (Printf.sprintf "oracle %s %s" name engine_name)
+                  `Quick
+                  (test_all_source_oracle topo engine))
+              [ ("sweep", `Sweep); ("compiled", `Compiled) ])
+          [
+            ("grid-3x3", Workload.Topogen.grid p ~rows:3 ~cols:3);
+            ("fat-tree-k4", Workload.Topogen.fat_tree p ~k:4);
+          ] );
       ( "protocol",
         [
           Alcotest.test_case "service stats" `Quick test_service_stats_progress;

@@ -738,6 +738,43 @@ let test_verifier_sources_reaching () =
   (* Host 0 reaches via s0; host 2 reaches via s1's local rule. *)
   check (Alcotest.list Alcotest.int) "sources" [ 0; 2 ] (List.sort compare hosts)
 
+(* On generated worlds: exactly the access points from which the
+   reference verifier arrives at [dst], in access-point order, with
+   equal arrival spaces. *)
+let test_verifier_sources_reaching_reference topo () =
+  let s = Workload.Scenario.build (Workload.Scenario.default_spec topo) in
+  Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
+  let flows_of = Workload.Scenario.actual_flows s in
+  let hs = Rvaas.Verifier.ip_traffic_hs () in
+  let points = Rvaas.Verifier.access_points topo in
+  let ids = List.map (fun ((ep : Rvaas.Verifier.endpoint), _) -> ep.host) in
+  (* Three destinations keep the fat-tree case fast. *)
+  List.iter
+    (fun dst ->
+      let expected =
+        List.filter_map
+          (fun (src : Rvaas.Verifier.endpoint) ->
+            if src = dst then None
+            else
+              let r =
+                Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:src.sw
+                  ~src_port:src.port ~hs
+              in
+              Option.map
+                (fun arriving -> (src, arriving))
+                (List.assoc_opt dst r.endpoints))
+          points
+      in
+      let got = Rvaas.Verifier.sources_reaching ~flows_of topo ~dst ~hs in
+      (* Isolation still lets the destination's own client reach it. *)
+      check Alcotest.bool "some source reaches" true (expected <> []);
+      check (Alcotest.list Alcotest.int) "same sources" (ids expected) (ids got);
+      List.iter2
+        (fun (_, a) (_, b) ->
+          check Alcotest.bool "same arrival space" true (Hspace.Hs.equal a b))
+        expected got)
+    (List.filteri (fun i _ -> i < 3) points)
+
 (* ---- differential: optimised verifier ≡ reference verifier ---- *)
 
 let test_verifier_matches_reference () =
@@ -1053,6 +1090,12 @@ let () =
           Alcotest.test_case "in-port rules" `Quick test_verifier_in_port_rules;
           Alcotest.test_case "access points" `Quick test_verifier_access_points;
           Alcotest.test_case "sources reaching" `Quick test_verifier_sources_reaching;
+          Alcotest.test_case "sources_reaching grid-3x3" `Quick
+            (test_verifier_sources_reaching_reference
+               (Workload.Topogen.grid Workload.Topogen.default_params ~rows:3 ~cols:3));
+          Alcotest.test_case "sources_reaching fat-tree-k4" `Quick
+            (test_verifier_sources_reaching_reference
+               (Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4));
           Alcotest.test_case "matches reference implementation" `Quick
             test_verifier_matches_reference;
         ] );

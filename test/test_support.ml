@@ -166,220 +166,6 @@ let test_stats_minmax_histogram () =
   let h = Support.Stats.histogram ~buckets:2 ~lo:0.0 ~hi:10.0 [ 1.0; 2.0; 9.0 ] in
   check (Alcotest.array Alcotest.int) "histogram" [| 2; 1 |] h
 
-(* ---- Pool ---- *)
-
-let test_pool_ordering () =
-  let pool = Support.Pool.create 4 in
-  let xs = Array.init 100 Fun.id in
-  let expected = Array.map (fun x -> x * x) xs in
-  check (Alcotest.array Alcotest.int) "parmap preserves order" expected
-    (Support.Pool.parmap pool (fun x -> x * x) xs);
-  check (Alcotest.list Alcotest.int) "map_list" [ 2; 4; 6 ]
-    (Support.Pool.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ]);
-  Support.Pool.shutdown pool
-
-let test_pool_sequential_fallback () =
-  let pool = Support.Pool.create 1 in
-  check Alcotest.int "size" 1 (Support.Pool.size pool);
-  let here = Domain.self () in
-  let ran_in =
-    Support.Pool.parmap pool (fun _ -> Domain.self ()) (Array.init 8 Fun.id)
-  in
-  Array.iter
-    (fun d -> check Alcotest.bool "pool_size=1 runs in the caller" true (d = here))
-    ran_in;
-  Support.Pool.shutdown pool
-
-let test_pool_exception_propagation () =
-  let pool = Support.Pool.create 4 in
-  Alcotest.check_raises "first failing index wins" (Failure "boom-3") (fun () ->
-      ignore
-        (Support.Pool.parmap pool
-           (fun i -> if i >= 3 then failwith (Printf.sprintf "boom-%d" i) else i)
-           (Array.init 16 Fun.id)));
-  (* The pool survives a failed batch. *)
-  check (Alcotest.array Alcotest.int) "usable after failure" [| 0; 2; 4 |]
-    (Support.Pool.parmap pool (fun i -> 2 * i) [| 0; 1; 2 |]);
-  Support.Pool.shutdown pool
-
-let test_pool_nested_calls () =
-  let pool = Support.Pool.create 3 in
-  (* A task that itself calls parmap must degrade to sequential rather
-     than deadlock on the shared job queue. *)
-  let got =
-    Support.Pool.parmap pool
-      (fun i ->
-        Array.fold_left ( + ) 0
-          (Support.Pool.parmap pool (fun j -> i + j) (Array.init 5 Fun.id)))
-      (Array.init 6 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "nested values" (Array.init 6 (fun i -> (5 * i) + 10)) got;
-  Support.Pool.shutdown pool
-
-let test_pool_init_per_worker () =
-  let pool = Support.Pool.create 4 in
-  let inits = Atomic.make 0 in
-  let got =
-    Support.Pool.parmap_init pool
-      ~init:(fun () -> Atomic.incr inits)
-      ~f:(fun () x -> x + 1)
-      (Array.init 64 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "values" (Array.init 64 (fun i -> i + 1)) got;
-  let n = Atomic.get inits in
-  check Alcotest.bool "init runs once per participating domain" true (n >= 1 && n <= 4);
-  Support.Pool.shutdown pool
-
-let test_pool_edge_cases () =
-  Alcotest.check_raises "size 0 rejected"
-    (Invalid_argument "Pool.create: size must be >= 1") (fun () ->
-      ignore (Support.Pool.create 0));
-  let pool = Support.Pool.create 4 in
-  check (Alcotest.list Alcotest.int) "empty input" []
-    (Support.Pool.map_list pool Fun.id []);
-  Support.Pool.shutdown pool;
-  Support.Pool.shutdown pool;
-  (* idempotent; a stopped pool degrades to sequential *)
-  check (Alcotest.list Alcotest.int) "post-shutdown sequential" [ 2; 4 ]
-    (Support.Pool.map_list pool (fun x -> 2 * x) [ 1; 2 ]);
-  check Alcotest.bool "default_size positive" true (Support.Pool.default_size () >= 1)
-
-let test_pool_init_poison () =
-  let pool = Support.Pool.create 4 in
-  (* A failing init must reach the caller like a task failure — and
-     must not leave the workers wedged or the pool unusable. *)
-  Alcotest.check_raises "worker init failure reaches the caller" (Failure "bad init")
-    (fun () ->
-      ignore
-        (Support.Pool.parmap_init pool
-           ~init:(fun () -> failwith "bad init")
-           ~f:(fun () x -> x)
-           (Array.init 32 Fun.id)));
-  check (Alcotest.array Alcotest.int) "pool usable after poisoned init"
-    (Array.init 8 (fun i -> i + 1))
-    (Support.Pool.parmap_init pool ~init:(fun () -> 1) ~f:( + ) (Array.init 8 Fun.id));
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_ordering () =
-  let pool = Support.Pool.create 4 in
-  let xs = Array.init 50 Fun.id in
-  check (Alcotest.array Alcotest.int) "supervised preserves order"
-    (Array.map (fun x -> x * 3) xs)
-    (Support.Pool.parmap_supervised pool ~init:(fun () -> ()) ~f:(fun () x -> x * 3) xs);
-  check (Alcotest.array Alcotest.int) "empty input" [||]
-    (Support.Pool.parmap_supervised pool ~init:(fun () -> ()) ~f:(fun () x -> x) [||]);
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_raise_retry () =
-  let pool = Support.Pool.create 4 in
-  (* A task that raises on its first attempt only: the supervisor
-     retries it sequentially in the caller and the sweep completes. *)
-  let first = Atomic.make true in
-  let faults = ref [] in
-  let got =
-    Support.Pool.parmap_supervised pool
-      ~on_fault:(fun f -> faults := f :: !faults)
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
-        if x = 7 && Atomic.exchange first false then failwith "flaky";
-        x + 1)
-      (Array.init 16 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "all results despite the raise"
-    (Array.init 16 (fun i -> i + 1))
-    got;
-  check Alcotest.bool "fault reported with the failing index" true
-    (List.exists
-       (fun (f : Support.Pool.fault) ->
-         f.fault_index = 7
-         && match f.reason with Support.Pool.Task_raised _ -> true | _ -> false)
-       !faults);
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_raise_propagates () =
-  let pool = Support.Pool.create 4 in
-  (* Deterministic failure: the caller's sequential retry fails too, so
-     the exception propagates — smallest failing index first, matching
-     [parmap_init]. *)
-  Alcotest.check_raises "deterministic failure reaches caller" (Failure "always-3")
-    (fun () ->
-      ignore
-        (Support.Pool.parmap_supervised pool
-           ~init:(fun () -> ())
-           ~f:(fun () x ->
-             if x >= 3 then failwith (Printf.sprintf "always-%d" x) else x)
-           (Array.init 8 Fun.id)));
-  check (Alcotest.array Alcotest.int) "usable after failed sweep" [| 0; 2; 4 |]
-    (Support.Pool.parmap pool (fun i -> 2 * i) [| 0; 1; 2 |]);
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_deadline () =
-  let pool = Support.Pool.create 3 in
-  (* One task wedges its worker domain well past the deadline (first
-     attempt only).  The supervisor must supersede it, respawn the
-     domain and complete the sweep via the caller — not wait out the
-     sleep. *)
-  let stuck = Atomic.make true in
-  let reasons = ref [] in
-  let got =
-    Support.Pool.parmap_supervised pool ~deadline:0.05
-      ~on_fault:(fun f -> reasons := f.Support.Pool.reason :: !reasons)
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
-        if x = 2 && Atomic.exchange stuck false then Unix.sleepf 0.4;
-        x * 2)
-      (Array.init 12 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "order-preserving results despite the hang"
-    (Array.init 12 (fun i -> i * 2))
-    got;
-  check Alcotest.bool "deadline fault reported" true
-    (List.exists
-       (function Support.Pool.Deadline_exceeded _ -> true | _ -> false)
-       !reasons);
-  check Alcotest.bool "wedged domain respawned" true (Support.Pool.respawns pool >= 1);
-  check (Alcotest.array Alcotest.int) "pool fully usable after respawn" [| 0; 1; 4; 9 |]
-    (Support.Pool.parmap pool (fun i -> i * i) (Array.init 4 Fun.id));
-  Support.Pool.shutdown pool
-
-let test_pool_supervised_deadline_deterministic () =
-  let pool = Support.Pool.create 3 in
-  (* Same scenario as above but on an injected clock, so the outcome
-     cannot race a slow runner: task 2 wedges until the supervisor
-     reports its fault (no wall-clock sleep anywhere), and "time"
-     passes only when task 7 — queued after 2, so necessarily dequeued
-     after 2 was stamped in flight — bumps the fake clock past the
-     deadline. *)
-  let clock = Atomic.make 0.0 in
-  let released = Atomic.make false in
-  let stuck = Atomic.make true in
-  let reasons = ref [] in
-  let got =
-    Support.Pool.parmap_supervised pool ~deadline:5.0
-      ~clock:(fun () -> Atomic.get clock)
-      ~on_fault:(fun f ->
-        reasons := f.Support.Pool.reason :: !reasons;
-        Atomic.set released true)
-      ~init:(fun () -> ())
-      ~f:(fun () x ->
-        if x = 2 && Atomic.exchange stuck false then
-          while not (Atomic.get released) do
-            Domain.cpu_relax ()
-          done;
-        if x = 7 then Atomic.set clock 100.0;
-        x * 2)
-      (Array.init 12 Fun.id)
-  in
-  check (Alcotest.array Alcotest.int) "order-preserving results despite the wedge"
-    (Array.init 12 (fun i -> i * 2))
-    got;
-  check Alcotest.bool "deadline fault on the wedged task" true
-    (List.exists
-       (function Support.Pool.Deadline_exceeded d -> d = 5.0 | _ -> false)
-       !reasons);
-  check Alcotest.bool "wedged domain respawned" true (Support.Pool.respawns pool >= 1);
-  Support.Pool.shutdown pool
-
 (* ---- qcheck properties ---- *)
 
 let prop_pqueue_sorted =
@@ -443,24 +229,5 @@ let () =
           Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "minmax/histogram" `Quick test_stats_minmax_histogram;
-        ] );
-      ( "pool",
-        [
-          Alcotest.test_case "parmap ordering" `Quick test_pool_ordering;
-          Alcotest.test_case "sequential fallback" `Quick test_pool_sequential_fallback;
-          Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
-          Alcotest.test_case "nested calls" `Quick test_pool_nested_calls;
-          Alcotest.test_case "per-worker init" `Quick test_pool_init_per_worker;
-          Alcotest.test_case "edge cases" `Quick test_pool_edge_cases;
-          Alcotest.test_case "init poisoning" `Quick test_pool_init_poison;
-          Alcotest.test_case "supervised ordering" `Quick test_pool_supervised_ordering;
-          Alcotest.test_case "supervised flaky retry" `Quick
-            test_pool_supervised_raise_retry;
-          Alcotest.test_case "supervised deterministic raise" `Quick
-            test_pool_supervised_raise_propagates;
-          Alcotest.test_case "supervised deadline respawn" `Quick
-            test_pool_supervised_deadline;
-          Alcotest.test_case "supervised deadline (deterministic clock)" `Quick
-            test_pool_supervised_deadline_deterministic;
         ] );
     ]
