@@ -1425,12 +1425,12 @@ let e18_agree (a : Rvaas.Verifier.reach_result) (b : Rvaas.Verifier.reach_result
 
 let e18 () =
   section
-    "E18: compiled plumbing graph — one-time compile cost (tables + 8 warm\n\
+    "E18: compiled plumbing graph — one-time compile cost (8 warm\n\
      sources), steady-state query latency for the same 24-query workload\n\
      (8 sources x 3 scopes, 6 reps) under sweep / delta-cache / compiled\n\
      lookup, then 100 single-switch Flow-Mods with per-update incremental\n\
      latency (update + requery) and differential checks vs. a fresh sweep;\n\
-     the maintained graph must equal a recompile from scratch at the end";
+     the maintained memo must equal a fresh compile at the end";
   let strict = Sys.getenv_opt "RVAAS_E18_STRICT" <> None in
   let failures = ref 0 in
   Printf.printf "%-14s %4s %6s | %10s %6s %7s | %9s %9s %9s %7s | %8s %5s\n"
@@ -1515,12 +1515,12 @@ let e18 () =
                       Rvaas.Verifier.reach_in ctx ~src_sw:src.sw
                         ~src_port:src.port ~hs
                     in
-                    Rvaas.Reach_cache.add cache key ~snapshot r;
+                    Rvaas.Reach_cache.add cache key r;
                     r)
             done)
       in
-      (* Compiled engine: one-time compile (tables + warm sources),
-         then every query is a lookup. *)
+      (* Compiled engine: one-time compile (the warm sources), then
+         every query is a lookup. *)
       let plumbing, compile_dt =
         wall (fun () ->
             let plumbing = Rvaas.Plumbing.compile ~flows_of topo in
@@ -1603,7 +1603,7 @@ let e18 () =
         end
       done;
       let avg_update = !update_dt /. float_of_int e18_updates in
-      (* The maintained graph must answer exactly like a recompile. *)
+      (* The maintained memo must answer exactly like a fresh compile. *)
       let fresh = Rvaas.Plumbing.compile ~flows_of topo in
       List.iter
         (fun (src : Rvaas.Verifier.endpoint) ->

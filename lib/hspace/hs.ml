@@ -230,7 +230,7 @@ let subset a b =
         || List.fold_left diff_cube_list [ ca ] b.cubes = [])
       a.cubes
 
-let equal a b = subset a b && subset b a
+let equal a b = a == b || (subset a b && subset b a)
 
 let overlaps a b = not (is_empty (inter a b))
 

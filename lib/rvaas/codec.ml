@@ -36,21 +36,28 @@ let query_lines (q : Query.t) =
   in
   kv "kind" (Query.kind_to_string q.kind) :: scope_lines
 
+let max_scope_cubes = 64
+
+(* Every scope line is checked before any header-space work: a keyed
+   client must not be able to crash [Hs.of_cubes] with a cube of the
+   wrong width, widen its own question by a line that does not parse,
+   or buy quadratic normalisation with thousands of cubes. *)
+let parse_scope lines =
+  let width = Hspace.Field.total_width in
+  if List.length lines > max_scope_cubes then Error "scope has too many cubes"
+  else if List.exists (fun s -> String.length s <> width) lines then
+    Error "scope cube of the wrong width"
+  else
+    match List.map Hspace.Tern.of_string lines with
+    | [] -> Ok None
+    | cubes -> Ok (Some (Hspace.Hs.of_cubes width cubes))
+    | exception Invalid_argument _ -> Error "unparsable scope cube"
+
 let parse_query pairs =
   match Option.bind (lookup "kind" pairs) Query.kind_of_string with
   | None -> Error "bad or missing query kind"
   | Some kind ->
-    let cubes =
-      List.filter_map
-        (fun s -> try Some (Hspace.Tern.of_string s) with Invalid_argument _ -> None)
-        (lookup_all "scope" pairs)
-    in
-    let scope =
-      match cubes with
-      | [] -> None
-      | _ -> Some (Hspace.Hs.of_cubes Hspace.Field.total_width cubes)
-    in
-    Ok { Query.kind; scope }
+    Result.map (fun scope -> { Query.kind; scope }) (parse_scope (lookup_all "scope" pairs))
 
 let query_to_string q = join_lines (query_lines q)
 

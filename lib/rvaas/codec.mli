@@ -18,13 +18,19 @@
 
 type request = { client : int; nonce : string; query : Query.t }
 
+(** The most cubes a query scope may carry on the wire (64).  Every
+    caller in this repository sends at most 3. *)
+val max_scope_cubes : int
+
 (** [encode_request r ~key ~recipient] authenticates with the client
     [key] and seals to the service public key. *)
 val encode_request : request -> key:Cryptosim.Hmac.key -> recipient:Cryptosim.Keys.public -> string
 
 (** [decode_request payload ~keypair ~lookup_key] opens the box with
     the service [keypair], parses, and verifies the client tag using
-    [lookup_key client]. *)
+    [lookup_key client].  A scope with more than {!max_scope_cubes}
+    cubes, or with a cube that does not parse or is not
+    {!Hspace.Field.total_width} wide, is an [Error]. *)
 val decode_request :
   string ->
   keypair:Cryptosim.Keys.keypair ->

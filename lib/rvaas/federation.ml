@@ -8,11 +8,10 @@ type domain = {
 
 type domain_state = {
   domain : domain;
-  ctx : Verifier.ctx;
   trusted : (string, Cryptosim.Keys.public) Hashtbl.t; (* peer name -> key *)
 }
 
-type t = { domains : (string * domain_state) list }
+type t = { topo : Netsim.Topology.t; domains : (string * domain_state) list }
 
 let create topo domains =
   (match domains with [] -> invalid_arg "Federation.create: no domains" | _ -> ());
@@ -37,11 +36,10 @@ let create topo domains =
             if peer.name <> domain.name then
               Hashtbl.replace trusted peer.name (Cryptosim.Keys.public peer.keypair))
           domains;
-        let ctx = Verifier.context ~flows_of:domain.flows_of topo in
-        (domain.name, { domain; ctx; trusted }))
+        (domain.name, { domain; trusted }))
       domains
   in
-  { domains = states }
+  { topo; domains = states }
 
 let state t name = List.assoc_opt name t.domains
 
@@ -58,14 +56,6 @@ let distrust t ~of_domain ~peer =
 let domain_of t ~sw =
   List.find_map
     (fun (name, st) -> if st.domain.member sw then Some name else None)
-    t.domains
-
-(* Reach passes are bounded to domain members, so only the owning
-   domain's guard cache can hold entries for [sw]. *)
-let invalidate_switch t ~sw =
-  List.iter
-    (fun (_, st) ->
-      if st.domain.member sw then Verifier.invalidate_switch st.ctx ~sw)
     t.domains
 
 type result = {
@@ -100,8 +90,8 @@ let serialise_sub_answer sa =
 
 (* Evaluate a sub-query inside one domain: local reachability bounded
    to the domain's members. *)
-let local_answer st ~src_sw ~src_port ~hs =
-  let r = Verifier.reach_in st.ctx ~boundary:st.domain.member ~src_sw ~src_port ~hs in
+let local_answer st ctx ~src_sw ~src_port ~hs =
+  let r = Verifier.reach_in ctx ~boundary:st.domain.member ~src_sw ~src_port ~hs in
   {
     sa_domain = st.domain.name;
     sa_endpoints = r.Verifier.endpoints;
@@ -129,6 +119,13 @@ let reach t ~start_domain ~src_sw ~src_port ~hs =
   let untrusted = ref [] in
   let sub_queries = ref 0 in
   let width = Hspace.Field.total_width in
+  (* Guards are cached for this question only: a context kept across
+     questions would answer from rules the domain has since changed. *)
+  let contexts =
+    List.map
+      (fun (name, st) -> (name, Verifier.context ~flows_of:st.domain.flows_of t.topo))
+      t.domains
+  in
   let queue = Queue.create () in
   let enqueue domain_name sw port hs =
     if not (Hspace.Hs.is_empty hs) then begin
@@ -147,7 +144,9 @@ let reach t ~start_domain ~src_sw ~src_port ~hs =
     match state t domain_name with
     | None -> () (* unreachable: handoffs always map to a domain *)
     | Some st ->
-      let answer = local_answer st ~src_sw:sw ~src_port:port ~hs in
+      let answer =
+        local_answer st (List.assoc domain_name contexts) ~src_sw:sw ~src_port:port ~hs
+      in
       let is_home = domain_name = start_domain in
       if not is_home then incr sub_queries;
       (* Peer sub-answers travel signed; the home server verifies

@@ -33,7 +33,8 @@ type t
     internetwork wiring plan.  Every switch must belong to exactly one
     domain.  Each domain answers its sub-queries with a
     {!Verifier.reach_in} pass bounded to its members, on a verification
-    context of its own kept current through {!invalidate_switch}.
+    context of its own built per {!reach} call, so every question reads
+    the domains' current configuration views.
     @raise Invalid_argument otherwise. *)
 val create : Netsim.Topology.t -> domain list -> t
 
@@ -75,10 +76,3 @@ val reach :
 
 (** [domain_of t ~sw] names the domain owning [sw]. *)
 val domain_of : t -> sw:int -> string option
-
-(** [invalidate_switch t ~sw] drops the owning domain's cached rule
-    guards for [sw].  Call it when that domain's configuration view of
-    [sw] changes; other domains' contexts never read [sw]'s table
-    (reach passes are bounded to domain members) and are left intact.
-    A no-op when no domain owns [sw]. *)
-val invalidate_switch : t -> sw:int -> unit

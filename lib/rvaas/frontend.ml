@@ -14,35 +14,52 @@ let coalescing ?limits ?(batch_window = 0.0) ?(subsume = false) () =
   { limits; coalesce = true; batch_window; subsume }
 
 (* The coalescing key mirrors [Reach_cache.key] (injection point plus
-   a structural scope hash) extended with the query kind and, for the
-   kinds whose evaluation reads the requesting tenant, the client.
-   All-int record: structural Hashtbl hashing/equality is exact. *)
+   the scope, hashed once) extended with the query kind and, for the
+   kinds whose evaluation reads the requesting tenant, the client. *)
 type key = {
   k_kind : int;
   k_dst : int;  (* Path_length destination, 0 otherwise *)
   k_client : int;  (* -1 for client-independent kinds *)
   k_sw : int;
   k_port : int;
-  k_hs : int;
+  k_scope : Hspace.Hs.t option;
+  k_hash : int;  (* of every field above *)
 }
 
 let key_of ~client ~sw ~port (query : Query.t) =
-  let scope_hash () =
-    match query.scope with None -> 0 | Some hs -> Hspace.Hs.hash hs
-  in
-  let k_kind, k_dst, k_client, k_hs =
+  let k_kind, k_dst, k_client, k_scope =
     match query.kind with
-    | Query.Reachable_endpoints -> (0, 0, -1, scope_hash ())
-    | Query.Sources_reaching_me -> (1, 0, client, scope_hash ())
-    (* Isolation and Fairness ignore their scope at evaluation; hashing
-       it would only split identical questions. *)
-    | Query.Isolation -> (2, 0, client, 0)
-    | Query.Geo -> (3, 0, -1, scope_hash ())
-    | Query.Path_length { dst_ip } -> (4, dst_ip, -1, scope_hash ())
-    | Query.Fairness -> (5, 0, client, 0)
-    | Query.Transfer_summary -> (6, 0, -1, scope_hash ())
+    | Query.Reachable_endpoints -> (0, 0, -1, query.scope)
+    | Query.Sources_reaching_me -> (1, 0, client, query.scope)
+    (* Isolation and Fairness ignore their scope at evaluation; keying
+       on it would only split identical questions. *)
+    | Query.Isolation -> (2, 0, client, None)
+    | Query.Geo -> (3, 0, -1, query.scope)
+    | Query.Path_length { dst_ip } -> (4, dst_ip, -1, query.scope)
+    | Query.Fairness -> (5, 0, client, None)
+    | Query.Transfer_summary -> (6, 0, -1, query.scope)
   in
-  { k_kind; k_dst; k_client; k_sw = sw; k_port = port; k_hs }
+  let h =
+    (match k_scope with None -> 0 | Some hs -> Hspace.Hs.hash hs)
+    lxor (sw * 0x9E3779B1) lxor (port * 0x85EBCA77) lxor (k_kind * 0x27D4EB2F)
+    lxor (k_client * 0x165667B1) lxor (k_dst * 0x61C88647)
+  in
+  { k_kind; k_dst; k_client; k_sw = sw; k_port = port; k_scope; k_hash = h lxor (h lsr 27) }
+
+module Key = struct
+  type t = key
+
+  (* The hash is a prefilter: colliding scopes are cheap to build, so
+     a hash match is confirmed on the scope itself. *)
+  let equal a b =
+    a.k_hash = b.k_hash && a.k_kind = b.k_kind && a.k_dst = b.k_dst && a.k_client = b.k_client
+    && a.k_sw = b.k_sw && a.k_port = b.k_port
+    && Option.equal Hspace.Hs.equal a.k_scope b.k_scope
+
+  let hash k = k.k_hash
+end
+
+module Key_table = Hashtbl.Make (Key)
 
 (* A narrower query riding a broader computation: answered at the
    subsumer's finalize by intersecting its arrival spaces with
@@ -86,7 +103,7 @@ type 'w t = {
   cfg : config;
   buckets : (int, bucket) Hashtbl.t;
   queue : 'w entry Queue.t;  (* arrival order, drained whole at flush *)
-  by_key : (key, 'w entry) Hashtbl.t;  (* queued entries, for coalescing *)
+  by_key : 'w entry Key_table.t;  (* queued entries, for coalescing *)
   by_point : (int * int, 'w entry list ref) Hashtbl.t;
       (* queued batchable entries per injection point (newest first),
          the subsumption scan's index; cleared with the queue *)
@@ -105,7 +122,7 @@ let create cfg =
     cfg;
     buckets = Hashtbl.create 16;
     queue = Queue.create ();
-    by_key = Hashtbl.create 16;
+    by_key = Key_table.create 16;
     by_point = Hashtbl.create 16;
     stats =
       {
@@ -186,7 +203,7 @@ let batchable (q : Query.t) =
    queries identical to an existing slice share it, new scopes open a
    fresh one.  Every attach counts in [subsumed]. *)
 let attach_slice t (entry : 'w entry) ~key ~scope query ~waiter =
-  (match List.find_opt (fun sl -> sl.sl_key = key) entry.e_slices with
+  (match List.find_opt (fun sl -> Key.equal sl.sl_key key) entry.e_slices with
   | Some sl -> sl.sl_waiters <- waiter :: sl.sl_waiters
   | None ->
     entry.e_slices <-
@@ -195,7 +212,7 @@ let attach_slice t (entry : 'w entry) ~key ~scope query ~waiter =
   t.stats.subsumed <- t.stats.subsumed + 1
 
 let submit t ~key ?scope ~client ~sw ~port query ~waiter =
-  match if t.cfg.coalesce then Hashtbl.find_opt t.by_key key else None with
+  match if t.cfg.coalesce then Key_table.find_opt t.by_key key else None with
   | Some entry ->
     entry.e_waiters <- waiter :: entry.e_waiters;
     t.stats.coalesced <- t.stats.coalesced + 1;
@@ -234,7 +251,7 @@ let submit t ~key ?scope ~client ~sw ~port query ~waiter =
         }
       in
       Queue.add entry t.queue;
-      if t.cfg.coalesce then Hashtbl.replace t.by_key key entry;
+      if t.cfg.coalesce then Key_table.replace t.by_key key entry;
       if t.cfg.subsume && entry.e_scope <> None then begin
         match Hashtbl.find_opt t.by_point (sw, port) with
         | Some cell -> cell := entry :: !cell
@@ -305,7 +322,7 @@ let flush t =
     let pools : (int * int, 'w entry list ref) Hashtbl.t = Hashtbl.create 8 in
     Queue.iter
       (fun e ->
-        if t.cfg.coalesce then Hashtbl.remove t.by_key e.e_key;
+        if t.cfg.coalesce then Key_table.remove t.by_key e.e_key;
         if batchable e.e_query then begin
           let point = (e.e_sw, e.e_port) in
           match Hashtbl.find_opt pools point with

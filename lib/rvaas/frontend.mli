@@ -75,14 +75,19 @@ val coalescing :
   ?limits:limits -> ?batch_window:float -> ?subsume:bool -> unit -> config
 
 (** Coalescing key: query kind (plus [Path_length]'s destination),
-    injection point, scope hash, and — for the kinds whose evaluation
+    injection point, scope, and — for the kinds whose evaluation
     depends on the requesting tenant ([Sources_reaching_me],
     [Isolation], [Fairness]) — the client.  Kinds that ignore their
-    scope ([Isolation], [Fairness]) hash it as zero so differently
-    scoped but identical questions still coalesce. *)
+    scope ([Isolation], [Fairness]) leave it out, so differently
+    scoped but identical questions still coalesce.  Scopes are hashed
+    once; equal hashes are confirmed with {!Hspace.Hs.equal}. *)
 type key
 
 val key_of : client:int -> sw:int -> port:int -> Query.t -> key
+
+(** Tables keyed by {!key}; polymorphic hashing and equality do not
+    apply to it. *)
+module Key_table : Hashtbl.S with type key = key
 
 (** A narrower query attached to a broader computation: at the
     subsumer's finalize, its arrival spaces are intersected with

@@ -1,22 +1,23 @@
-type key = { k_sw : int; k_port : int; k_hs : int }
+type key = { k_sw : int; k_port : int; k_hash : int; k_hs : Hspace.Hs.t }
 
 module Key = struct
   type t = key
 
-  let equal a b = a.k_sw = b.k_sw && a.k_port = b.k_port && a.k_hs = b.k_hs
+  (* The hash is a prefilter: colliding scopes are cheap to build, so
+     a hash match is confirmed on the scope itself. *)
+  let equal a b =
+    a.k_hash = b.k_hash && a.k_sw = b.k_sw && a.k_port = b.k_port
+    && Hspace.Hs.equal a.k_hs b.k_hs
 
-  let hash { k_sw; k_port; k_hs } =
-    let h = (k_hs lxor (k_sw * 0x9E3779B1) lxor (k_port * 0x85EBCA77)) in
-    h lxor (h lsr 27)
+  let hash k = k.k_hash
 end
 
 module Table = Hashtbl.Make (Key)
 
 type entry = {
   result : Verifier.reach_result;
-  deps : (int * int64) array;
-      (* (switch, table digest at computation time) for every switch the
-         pass traversed — the complete freshness dependency set *)
+      (* its [traversed] list is the entry's complete freshness
+         dependency set *)
   mutable referenced : bool;  (* second-chance bit, set on every hit *)
 }
 
@@ -57,7 +58,8 @@ let create ?(capacity = 4096) () =
   }
 
 let key ~src_sw ~src_port ~hs =
-  { k_sw = src_sw; k_port = src_port; k_hs = Hspace.Hs.hash hs }
+  let h = Hspace.Hs.hash hs lxor (src_sw * 0x9E3779B1) lxor (src_port * 0x85EBCA77) in
+  { k_sw = src_sw; k_port = src_port; k_hash = h lxor (h lsr 27); k_hs = hs }
 
 let find t key =
   match Table.find_opt t.table key with
@@ -92,16 +94,10 @@ let evict_one t =
       end
   done
 
-let add t key ~snapshot (result : Verifier.reach_result) =
+let add t key (result : Verifier.reach_result) =
   if not (Table.mem t.table key) then begin
     if Table.length t.table >= t.capacity then evict_one t;
-    let deps =
-      Array.of_list
-        (List.map
-           (fun sw -> (sw, Snapshot.switch_digest snapshot ~sw))
-           result.Verifier.traversed)
-    in
-    Table.replace t.table key { result; deps; referenced = false };
+    Table.replace t.table key { result; referenced = false };
     Queue.add key t.clock
   end
 
@@ -129,14 +125,11 @@ let purge_clock t =
     Queue.transfer kept t.clock
   end
 
-let invalidate_switch t ~sw ~digest =
+let invalidate_switch t ~sw =
   let stale =
     Table.fold
       (fun k e acc ->
-        let depends_changed =
-          Array.exists (fun (s, d) -> s = sw && not (Int64.equal d digest)) e.deps
-        in
-        if depends_changed then k :: acc else acc)
+        if List.exists (Int.equal sw) e.result.Verifier.traversed then k :: acc else acc)
       t.table []
   in
   List.iter (Table.remove t.table) stale;

@@ -4,19 +4,17 @@
     isolation query alone costs one full reach pass per access point,
     and clients re-ask the same questions (paper §IV-A.2's interactive
     workload).  This cache keys a {!Verifier.reach_result} by the
-    injection point (source switch, source port) and a 64-bit
-    structural hash of the queried header space.
+    injection point (source switch, source port) and the queried
+    header space; a structural hash of the space prefilters, and
+    {!Hspace.Hs.equal} decides.
 
-    Freshness is tracked per entry rather than baked into the key: each
-    entry records the switches the reach pass {e traversed} and their
-    flow-table digests at computation time.  A reach result depends
-    only on the tables of traversed switches — a rule on a switch the
-    pass never visited cannot alter it — so when a Flow-Mod lands on
-    switch [s], {!invalidate_switch} evicts exactly the entries that
-    traversed [s] (and whose recorded digest actually differs, so a
-    reverted table keeps its entries).  Under rolling single-switch
-    updates this retains the large majority of the cache, where the
-    previous digest-vector key invalidated everything.
+    Freshness is tracked per entry rather than baked into the key: an
+    entry depends on the switches its reach pass {e traversed}.  A
+    reach result depends only on the tables of traversed switches — a
+    rule on a switch the pass never visited cannot alter it — so when
+    a Flow-Mod lands on switch [s], {!invalidate_switch} evicts exactly
+    the entries that traversed [s].  Under rolling single-switch
+    updates this retains the large majority of the cache.
 
     Capacity is enforced by second-chance (clock) eviction: entries hit
     since their last consideration get another round instead of the
@@ -24,9 +22,8 @@
 
 type t
 
-(** Lookup key: injection point plus the header-space hash.  Compact
-    (three words) where the previous scheme serialised the cube list
-    and digest vector into a multi-KB string. *)
+(** Lookup key: injection point plus the header space, with its hash
+    computed once. *)
 type key
 
 type stats = {
@@ -61,15 +58,12 @@ val key : src_sw:int -> src_port:int -> hs:Hspace.Hs.t -> key
     hit marks the entry recently-used for the second-chance sweep. *)
 val find : t -> key -> Verifier.reach_result option
 
-(** [add t key ~snapshot result] stores a computed result, recording
-    the digest of every switch in [result.traversed] as read from
-    [snapshot] — the entry's freshness dependencies. *)
-val add : t -> key -> snapshot:Snapshot.t -> Verifier.reach_result -> unit
+(** [add t key result] stores a computed result; [result.traversed]
+    is the entry's freshness dependencies. *)
+val add : t -> key -> Verifier.reach_result -> unit
 
-(** [invalidate_switch t ~sw ~digest] evicts every entry that traversed
-    [sw] and recorded a digest other than [digest] (the switch's
-    current table digest).  Entries that never consulted [sw], or that
-    saw the identical table, remain valid and are kept.
+(** [invalidate_switch t ~sw] evicts every entry that traversed [sw];
+    entries that never consulted [sw] remain valid and are kept.
 
     Delta evictions leave their keys in the second-chance ring (the
     sweep skips dead keys); to keep that bounded under delta-heavy
@@ -77,7 +71,7 @@ val add : t -> key -> snapshot:Snapshot.t -> Verifier.reach_result -> unit
     and duplicates whenever it exceeds ~2x the live table size
     (counted in [stats.clock_purged], observable via
     {!clock_length}). *)
-val invalidate_switch : t -> sw:int -> digest:int64 -> unit
+val invalidate_switch : t -> sw:int -> unit
 
 (** [invalidate t] drops every entry (e.g. a topology-level change or
     a test forcing the non-incremental behaviour). *)

@@ -101,7 +101,7 @@ type t = {
       (* admission + coalescing + batching policy in front of
          evaluation; default config = admit all, no coalescing, no
          settle tick (the seed behaviour) *)
-  coalesced : (Frontend.key, pending) Hashtbl.t;
+  coalesced : pending Frontend.Key_table.t;
       (* in-flight computations by coalescing key: a query identical
          to one already evaluating joins it as an extra requester *)
   subsumable : (int * int, pending list ref) Hashtbl.t;
@@ -113,16 +113,16 @@ type t = {
          not yet in [open_queries] — consulted by the duplicate-
          delivery check, cleared at each flush *)
   measurement : Cryptosim.Attest.measurement;
-  mutable ctx : Verifier.ctx;
-      (* incremental verification context: guards cached across queries,
-         invalidated per switch when the monitored snapshot changes *)
+  ctx : Verifier.ctx;
+      (* the one incremental verification context: guards cached
+         across queries, invalidated per switch when the monitored
+         snapshot changes, whichever engine serves *)
   cache : Reach_cache.t;
-      (* reach results keyed by (src, hs-hash); the snapshot-change
-         hook evicts only entries that traversed the changed switch *)
+      (* reach results keyed by (src, scope); the snapshot-change hook
+         evicts only entries that traversed the changed switch *)
   plumbing : Plumbing.t option;
-      (* the compiled engine, present iff [engine = `Compiled]: reach
-         questions become graph lookups, maintained incrementally by
-         the snapshot-change hook *)
+      (* the compiled engine, present iff [engine = `Compiled]: a
+         memo over [ctx] that turns reach questions into lookups *)
   intercepts_sent : (int, (Ofproto.Flow_entry.spec * float) list) Hashtbl.t;
       (* per switch: intercept installs in flight (sent, not yet in
          the believed table) with their send times *)
@@ -160,7 +160,7 @@ let reach t ~src_sw ~src_port ~hs =
     | Some r -> r
     | None ->
       let r = Verifier.reach_in t.ctx ~src_sw ~src_port ~hs in
-      Reach_cache.add t.cache key ~snapshot:(Monitor.snapshot t.monitor) r;
+      Reach_cache.add t.cache key r;
       r)
 
 (* Restrict a client scope to IP traffic; queries never see non-IP
@@ -372,8 +372,8 @@ let finalize t (p : pending) =
       | Some k -> (
         (* Only drop the coalescing slot if it is still ours — a
            later computation may have taken the key over. *)
-        match Hashtbl.find_opt t.coalesced k with
-        | Some q when q == p -> Hashtbl.remove t.coalesced k
+        match Frontend.Key_table.find_opt t.coalesced k with
+        | Some q when q == p -> Frontend.Key_table.remove t.coalesced k
         | _ -> ())
       | None -> ());
       let answer_out template (r : requester) =
@@ -476,8 +476,8 @@ let supersede t nonce =
       drop_cover t old;
       match old.key with
       | Some k -> (
-        match Hashtbl.find_opt t.coalesced k with
-        | Some q when q == old -> Hashtbl.remove t.coalesced k
+        match Frontend.Key_table.find_opt t.coalesced k with
+        | Some q when q == old -> Frontend.Key_table.remove t.coalesced k
         | _ -> ())
       | None -> ()
     end
@@ -534,7 +534,7 @@ let open_with t ~key ~query ~base ~targets ?(slices = []) ?cover ~requesters () 
   List.iter
     (fun sp -> List.iter (register sp.sp_query) (List.rev sp.sp_waiters))
     (List.rev slices);
-  (match key with Some k -> Hashtbl.replace t.coalesced k p | None -> ());
+  (match key with Some k -> Frontend.Key_table.replace t.coalesced k p | None -> ());
   (match cover with
   | Some c ->
     let cell =
@@ -742,7 +742,7 @@ let flush_frontend t =
 (* Join an in-flight computation: the new requester rides the probes
    already in the air and is answered at the shared finalize. *)
 let try_join t key (r : requester) =
-  match Hashtbl.find_opt t.coalesced key with
+  match Frontend.Key_table.find_opt t.coalesced key with
   | Some p when not p.finalized ->
     p.requesters <- r :: p.requesters;
     Hashtbl.replace t.open_queries r.r_nonce p;
@@ -980,6 +980,11 @@ let create ?(retry = no_retry) ?(engine : Plumbing.engine = `Sweep)
     ~auth_timeout () =
   if retry.attempts < 1 then invalid_arg "Service.create: retry.attempts must be >= 1";
   if retry.base_delay < 0.0 then invalid_arg "Service.create: negative retry.base_delay";
+  let ctx =
+    Verifier.context
+      ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)
+      (Netsim.Net.topology net)
+  in
   let t =
     {
       net;
@@ -1009,42 +1014,28 @@ let create ?(retry = no_retry) ?(engine : Plumbing.engine = `Sweep)
       pending = Hashtbl.create 16;
       open_queries = Hashtbl.create 16;
       frontend = Frontend.create frontend;
-      coalesced = Hashtbl.create 16;
+      coalesced = Frontend.Key_table.create 16;
       subsumable = Hashtbl.create 16;
       queued_nonces = Hashtbl.create 16;
       measurement = Cryptosim.Attest.measure ~code_identity;
-      ctx =
-        Verifier.context
-          ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)
-          (Netsim.Net.topology net);
+      ctx;
       cache = Reach_cache.create ();
       intercepts_sent = Hashtbl.create 64;
       plumbing =
-        (match engine with
-        | `Sweep -> None
-        | `Compiled ->
-          (* Compiled at create time over the (still mostly empty)
-             snapshot; the snapshot-change hook below keeps it current
-             as installs and polls land. *)
-          Some
-            (Plumbing.compile
-               ~flows_of:(fun sw -> Snapshot.flows (Monitor.snapshot monitor) ~sw)
-               (Netsim.Net.topology net)));
+        (match engine with `Sweep -> None | `Compiled -> Some (Plumbing.create ctx));
     }
   in
   Monitor.on_observation monitor (fun ~sw what ~changed ->
       if changed then begin
-        Verifier.invalidate_switch t.ctx ~sw;
         (* Delta invalidation: only entries whose reach pass traversed
            [sw] can be stale; everything else survives the Flow-Mod. *)
-        Reach_cache.invalidate_switch t.cache ~sw
-          ~digest:(Snapshot.switch_digest (Monitor.snapshot monitor) ~sw);
-        (* The compiled graph absorbs the same delta: re-derive [sw]'s
-           node slice, leave every other switch and every
-           non-traversing precomputed source untouched. *)
+        Reach_cache.invalidate_switch t.cache ~sw;
+        (* [sw]'s guards leave the one context; the compiled memo also
+           bumps [sw]'s version, so only sources that traversed it
+           re-derive. *)
         match t.plumbing with
         | Some plumbing -> Plumbing.update plumbing ~sw
-        | None -> ()
+        | None -> Verifier.invalidate_switch t.ctx ~sw
       end;
       (* Intercept repair runs on every observation, changed or not:
          it is poll-driven and must converge even when the repair

@@ -73,60 +73,46 @@ let rewrite_hs hs f v =
   Hspace.Hs.of_cubes width
     (List.map (fun c -> Hspace.Field.set_exact c f v) (Hspace.Hs.cubes hs))
 
-(* Symbolic counterpart of {!Ofproto.Action.apply}: outputs capture the
-   header space as rewritten up to that point of the action list. *)
-let symbolic_apply ~ports ~in_port hs actions =
-  let flood_ports = List.filter (fun p -> p <> in_port) ports in
-  let cur = ref hs
-  and outs = ref []
-  and ctrl = ref (Hspace.Hs.empty width) in
-  List.iter
-    (fun action ->
-      match action with
-      | Ofproto.Action.Output p ->
-        (* Mirror the data plane: no output back to the ingress port. *)
-        if p <> in_port then outs := (p, !cur) :: !outs
-      | Ofproto.Action.In_port -> outs := (in_port, !cur) :: !outs
-      | Ofproto.Action.Flood ->
-        List.iter (fun p -> outs := (p, !cur) :: !outs) flood_ports
-      | Ofproto.Action.To_controller -> ctrl := Hspace.Hs.union !ctrl !cur
-      | Ofproto.Action.Set_field (f, v) -> cur := rewrite_hs !cur f v
-      | Ofproto.Action.Set_queue _ -> ())
-    actions;
-  (List.rev !outs, !ctrl)
-
 type ctx = {
   flows_of : int -> Ofproto.Flow_entry.spec list;
   topo : Netsim.Topology.t;
-  guards_cache : (int * int, guarded list) Hashtbl.t;
+  guards_cache : (int, (int * guarded list) list) Hashtbl.t;
+      (* per switch: the guards of each ingress port visited so far, so
+         a Flow-Mod drops one switch with one removal *)
 }
 
 let context ~flows_of topo = { flows_of; topo; guards_cache = Hashtbl.create 64 }
 
-let invalidate_switch ctx ~sw =
-  let stale =
-    Hashtbl.fold
-      (fun (s, port) _ acc -> if s = sw then (s, port) :: acc else acc)
-      ctx.guards_cache []
-  in
-  List.iter (Hashtbl.remove ctx.guards_cache) stale
+let topology ctx = ctx.topo
 
-let reach_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
+let invalidate_switch ctx ~sw = Hashtbl.remove ctx.guards_cache sw
+
+let guards ctx ~sw ~port =
+  let cached = Option.value ~default:[] (Hashtbl.find_opt ctx.guards_cache sw) in
+  match List.assq_opt port cached with
+  | Some g -> g
+  | None ->
+    let g = guarded_rules ctx.flows_of sw port in
+    Hashtbl.replace ctx.guards_cache sw ((port, g) :: cached);
+    g
+
+type trace = {
+  result : reach_result;
+  seen : (int * int, Hspace.Hs.t) Hashtbl.t;
+  arrivals : (endpoint * Hspace.Hs.t * int list) list;
+  rewrote : bool;
+}
+
+let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
   let topo = ctx.topo in
   let seen : (int * int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 64 in
   let handoffs : (int * int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 8 in
-  let guards sw port =
-    match Hashtbl.find_opt ctx.guards_cache (sw, port) with
-    | Some g -> g
-    | None ->
-      let g = guarded_rules ctx.flows_of sw port in
-      Hashtbl.replace ctx.guards_cache (sw, port) g;
-      g
-  in
   let endpoints : (endpoint, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 16 in
   let controller : (int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 16 in
   let paths : (endpoint, int list) Hashtbl.t = Hashtbl.create 16 in
   let traversed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let arrivals = ref [] in
+  let rewrote = ref false in
   let rule_visits = ref 0 in
   let queue = Queue.create () in
   (* [depth] carries [List.length path] explicitly so the hop bound is
@@ -141,6 +127,35 @@ let reach_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
       end
     end
   in
+  (* One rule output, resolved through the wiring plan: a host
+     delivery, the next switch's queue, or a handoff outside the
+     boundary.  [rewritten] says a Set_field shaped [out]. *)
+  let emit sw path depth out_port out rewritten =
+    let here = Netsim.Topology.{ node = Switch sw; port = out_port } in
+    match Netsim.Topology.peer topo here with
+    | None -> ()
+    | Some far -> (
+      if rewritten then rewrote := true;
+      match far.Netsim.Topology.node with
+      | Netsim.Topology.Host host ->
+        let ep = { host; sw; port = out_port } in
+        let old =
+          Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt endpoints ep)
+        in
+        Hashtbl.replace endpoints ep (Hspace.Hs.union old out);
+        arrivals := (ep, out, path) :: !arrivals;
+        if not (Hashtbl.mem paths ep) then Hashtbl.replace paths ep (List.rev path)
+      | Netsim.Topology.Switch next_sw ->
+        if boundary next_sw then
+          enqueue next_sw far.Netsim.Topology.port out (next_sw :: path) (depth + 1)
+        else begin
+          let key = (next_sw, far.Netsim.Topology.port) in
+          let old =
+            Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt handoffs key)
+          in
+          Hashtbl.replace handoffs key (Hspace.Hs.union old out)
+        end)
+  in
   enqueue src_sw src_port hs [ src_sw ] 1;
   while not (Queue.is_empty queue) do
     let sw, port, hs, path, depth = Queue.pop queue in
@@ -151,62 +166,62 @@ let reach_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
           incr rule_visits;
           let matched = rule_slice hs guarded in
           if not (Hspace.Hs.is_empty matched) then begin
-            let spec = guarded.g_spec in
-            let ports = Netsim.Topology.switch_ports topo sw in
-            let outs, ctrl = symbolic_apply ~ports ~in_port:port matched spec.actions in
-            if not (Hspace.Hs.is_empty ctrl) then begin
+            (* The symbolic counterpart of {!Ofproto.Action.apply}:
+               outputs carry the space as rewritten up to that point
+               of the action list, never back out of the ingress port
+               except through [In_port]. *)
+            let cur = ref matched
+            and rewritten = ref false
+            and ctrl = ref (Hspace.Hs.empty width) in
+            List.iter
+              (fun action ->
+                match action with
+                | Ofproto.Action.Output p ->
+                  if p <> port then emit sw path depth p !cur !rewritten
+                | Ofproto.Action.In_port -> emit sw path depth port !cur !rewritten
+                | Ofproto.Action.Flood ->
+                  List.iter
+                    (fun p -> if p <> port then emit sw path depth p !cur !rewritten)
+                    (Netsim.Topology.switch_ports topo sw)
+                | Ofproto.Action.To_controller ->
+                  if !rewritten then rewrote := true;
+                  ctrl := Hspace.Hs.union !ctrl !cur
+                | Ofproto.Action.Set_field (f, v) ->
+                  cur := rewrite_hs !cur f v;
+                  rewritten := true
+                | Ofproto.Action.Set_queue _ -> ())
+              guarded.g_spec.actions;
+            if not (Hspace.Hs.is_empty !ctrl) then begin
               let old =
                 Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt controller sw)
               in
-              Hashtbl.replace controller sw (Hspace.Hs.union old ctrl)
-            end;
-            List.iter
-              (fun (out_port, out) ->
-                let here = Netsim.Topology.{ node = Switch sw; port = out_port } in
-                match Netsim.Topology.peer topo here with
-                | None -> ()
-                | Some far -> (
-                  match far.Netsim.Topology.node with
-                  | Netsim.Topology.Host host ->
-                    let ep = { host; sw; port = out_port } in
-                    let old =
-                      Option.value ~default:(Hspace.Hs.empty width)
-                        (Hashtbl.find_opt endpoints ep)
-                    in
-                    Hashtbl.replace endpoints ep (Hspace.Hs.union old out);
-                    if not (Hashtbl.mem paths ep) then Hashtbl.replace paths ep (List.rev path)
-                  | Netsim.Topology.Switch next_sw ->
-                    if boundary next_sw then
-                      enqueue next_sw far.Netsim.Topology.port out (next_sw :: path)
-                        (depth + 1)
-                    else begin
-                      let key = (next_sw, far.Netsim.Topology.port) in
-                      let old =
-                        Option.value ~default:(Hspace.Hs.empty width)
-                          (Hashtbl.find_opt handoffs key)
-                      in
-                      Hashtbl.replace handoffs key (Hspace.Hs.union old out)
-                    end))
-              outs
+              Hashtbl.replace controller sw (Hspace.Hs.union old !ctrl)
+            end
           end)
-        (guards sw port)
+        (guards ctx ~sw ~port)
   done;
-  {
-    endpoints =
-      Hashtbl.fold (fun ep hs acc -> (ep, hs) :: acc) endpoints []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    controller_hits =
-      Hashtbl.fold (fun sw hs acc -> (sw, hs) :: acc) controller []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    traversed = Hashtbl.fold (fun sw () acc -> sw :: acc) traversed [] |> List.sort compare;
-    sample_paths =
-      Hashtbl.fold (fun ep path acc -> (ep, path) :: acc) paths []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
-    handoffs =
-      Hashtbl.fold (fun (sw, port) hs acc -> (sw, port, hs) :: acc) handoffs []
-      |> List.sort compare;
-    rule_visits = !rule_visits;
-  }
+  let result =
+    {
+      endpoints =
+        Hashtbl.fold (fun ep hs acc -> (ep, hs) :: acc) endpoints []
+        |> List.sort (fun (a, _) (b, _) -> compare a b);
+      controller_hits =
+        Hashtbl.fold (fun sw hs acc -> (sw, hs) :: acc) controller []
+        |> List.sort (fun (a, _) (b, _) -> compare a b);
+      traversed = Hashtbl.fold (fun sw () acc -> sw :: acc) traversed [] |> List.sort compare;
+      sample_paths =
+        Hashtbl.fold (fun ep path acc -> (ep, path) :: acc) paths []
+        |> List.sort (fun (a, _) (b, _) -> compare a b);
+      handoffs =
+        Hashtbl.fold (fun (sw, port) hs acc -> (sw, port, hs) :: acc) handoffs []
+        |> List.sort compare;
+      rule_visits = !rule_visits;
+    }
+  in
+  { result; seen; arrivals = !arrivals; rewrote = !rewrote }
+
+let reach_in ?boundary ctx ~src_sw ~src_port ~hs =
+  (trace_in ?boundary ctx ~src_sw ~src_port ~hs).result
 
 let reach ~flows_of topo ~src_sw ~src_port ~hs =
   reach_in (context ~flows_of topo) ~src_sw ~src_port ~hs

@@ -38,12 +38,10 @@ type reach_result = {
 
 (** {1 Rule guards}
 
-    The shared guard representation: a rule's match cube plus the
-    strictly-higher-priority cubes overlapping it (its "shadow"),
-    subtracted lazily at propagation time.  Exposed so the compiled
-    plumbing engine ({!Plumbing}) reuses exactly the shadowing
-    semantics of the sweep — any divergence between the two engines
-    must come from graph bookkeeping, never from guard derivation. *)
+    A rule's match cube plus the strictly-higher-priority cubes
+    overlapping it (its "shadow"), subtracted lazily at propagation
+    time.  Exposed so {!Plumbing.graph} can count plumbing edges over
+    the very guards the traversal uses. *)
 type guarded = {
   g_spec : Ofproto.Flow_entry.spec;
   g_cube : Hspace.Tern.t;  (** the rule's match cube *)
@@ -54,27 +52,21 @@ type guarded = {
       (** required-bits view of [g_cube] for word-level rejection *)
 }
 
-(** [guarded_rules flows_of sw port] derives the guarded rules
-    applicable on ingress [port] of [sw], priority-descending, with
-    fully-shadowed rules dropped.  [flows_of] must yield rules in
-    priority-descending order (the {!Ofproto.Flow_table} invariant). *)
-val guarded_rules :
-  (int -> Ofproto.Flow_entry.spec list) -> int -> int -> guarded list
-
-(** [rule_slice hs g] is [hs ∩ g.g_cube \ g.g_shadow] — the packet set
-    the rule actually handles — with a prefilter fast path. *)
-val rule_slice : Hspace.Hs.t -> guarded -> Hspace.Hs.t
-
-(** A verification context caches per-(switch, ingress-port) rule
-    guards, which are expensive to derive and shared by every query
-    against the same configuration view.  Create a fresh context
-    whenever the configuration may have changed. *)
+(** A verification context caches rule guards per switch and ingress
+    port, derived on first visit and shared by every query against the
+    same configuration view.  {!invalidate_switch} keeps a long-lived
+    context current; the compiled engine ({!Plumbing}) memoises over
+    one. *)
 type ctx
 
 (** [context ~flows_of topo] builds a context (guards are derived
-    lazily on first use). *)
+    lazily on first use).  [flows_of] must yield rules in
+    priority-descending order (the {!Ofproto.Flow_table} invariant). *)
 val context :
   flows_of:(int -> Ofproto.Flow_entry.spec list) -> Netsim.Topology.t -> ctx
+
+(** [topology ctx] is the wiring plan [ctx] was built over. *)
+val topology : ctx -> Netsim.Topology.t
 
 (** [invalidate_switch ctx ~sw] drops cached guards for [sw] — call
     when that switch's configuration view changed.  Other switches'
@@ -82,12 +74,41 @@ val context :
     under churn. *)
 val invalidate_switch : ctx -> sw:int -> unit
 
-(** [reach_in ctx ?boundary ~src_sw ~src_port ~hs] computes forward
-    reachability of the header space [hs] injected at the given ingress
-    port.  When [boundary] is given, switches for which it returns
-    [false] are not expanded: arrivals there are reported as
-    [handoffs] instead (a provider's verifier only reasons about its
-    own domain, paper §IV-C.a). *)
+(** [guards ctx ~sw ~port] is the guarded rules applicable on ingress
+    [port] of [sw], priority-descending, with fully-shadowed rules
+    dropped — from the cache, derived on a miss. *)
+val guards : ctx -> sw:int -> port:int -> guarded list
+
+(** What one traversal saw beyond its {!reach_result}: the raw material
+    of {!Plumbing}'s full-space memo. *)
+type trace = {
+  result : reach_result;
+  seen : (int * int, Hspace.Hs.t) Hashtbl.t;
+      (** the space that arrived on each (switch, ingress port) *)
+  arrivals : (endpoint * Hspace.Hs.t * int list) list;
+      (** every host emission, newest first, with its witness
+          switch-path leaf-first (reverse it for source-first) *)
+  rewrote : bool;
+      (** a Set_field shaped some space that left a rule on a wired
+          port or to the controller *)
+}
+
+(** [trace_in ?boundary ctx ~src_sw ~src_port ~hs] is the breadth-first
+    traversal: forward reachability of the header space [hs] injected
+    at the given ingress port.  When [boundary] is given, switches for
+    which it returns [false] are not expanded: arrivals there are
+    reported as [handoffs] instead (a provider's verifier only reasons
+    about its own domain, paper §IV-C.a). *)
+val trace_in :
+  ?boundary:(int -> bool) ->
+  ctx ->
+  src_sw:int ->
+  src_port:int ->
+  hs:Hspace.Hs.t ->
+  trace
+
+(** [reach_in ?boundary ctx ~src_sw ~src_port ~hs] is
+    [(trace_in ?boundary ctx ~src_sw ~src_port ~hs).result]. *)
 val reach_in :
   ?boundary:(int -> bool) ->
   ctx ->

@@ -8,7 +8,9 @@
      hit and agree with a fresh recomputation by the eager-guard
      reference verifier.
    - Through the service: a cached isolation answer never masks a
-     rule-injection attack. *)
+     rule-injection attack.
+   - Keys compare scopes: a crafted hash collision is neither served
+     from the cache nor coalesced by the front-end. *)
 
 let check = Alcotest.check
 
@@ -29,9 +31,8 @@ let key_of i =
 
 let test_second_chance_eviction () =
   let cache = Rvaas.Reach_cache.create ~capacity:4 () in
-  let snapshot = Rvaas.Snapshot.create () in
   for i = 0 to 3 do
-    Rvaas.Reach_cache.add cache (key_of i) ~snapshot (fake_result [ i ])
+    Rvaas.Reach_cache.add cache (key_of i) (fake_result [ i ])
   done;
   check Alcotest.int "at capacity" 4 (Rvaas.Reach_cache.length cache);
   (* Hit 0 and 1: they are now recently used. *)
@@ -39,8 +40,8 @@ let test_second_chance_eviction () =
   check Alcotest.bool "hit 1" true (Rvaas.Reach_cache.find cache (key_of 1) <> None);
   (* Two inserts beyond capacity must displace the un-hit entries 2 and
      3, never the recently-hit ones. *)
-  Rvaas.Reach_cache.add cache (key_of 4) ~snapshot (fake_result [ 4 ]);
-  Rvaas.Reach_cache.add cache (key_of 5) ~snapshot (fake_result [ 5 ]);
+  Rvaas.Reach_cache.add cache (key_of 4) (fake_result [ 4 ]);
+  Rvaas.Reach_cache.add cache (key_of 5) (fake_result [ 5 ]);
   check Alcotest.int "still at capacity" 4 (Rvaas.Reach_cache.length cache);
   check Alcotest.bool "recently-hit entry 0 retained" true
     (Rvaas.Reach_cache.find cache (key_of 0) <> None);
@@ -55,16 +56,11 @@ let test_second_chance_eviction () =
 
 let test_delta_eviction_unit () =
   let cache = Rvaas.Reach_cache.create () in
-  let snapshot = Rvaas.Snapshot.create () in
-  (* Entry A traversed switches 0-1, entry B switches 2-3; the empty
-     snapshot digests every switch as 0L. *)
-  Rvaas.Reach_cache.add cache (key_of 0) ~snapshot (fake_result [ 0; 1 ]);
-  Rvaas.Reach_cache.add cache (key_of 2) ~snapshot (fake_result [ 2; 3 ]);
-  (* A confirming observation (digest unchanged) evicts nothing. *)
-  Rvaas.Reach_cache.invalidate_switch cache ~sw:1 ~digest:0L;
-  check Alcotest.int "unchanged digest keeps both" 2 (Rvaas.Reach_cache.length cache);
-  (* A real change on switch 1 evicts exactly the entry that read it. *)
-  Rvaas.Reach_cache.invalidate_switch cache ~sw:1 ~digest:42L;
+  (* Entry A traversed switches 0-1, entry B switches 2-3. *)
+  Rvaas.Reach_cache.add cache (key_of 0) (fake_result [ 0; 1 ]);
+  Rvaas.Reach_cache.add cache (key_of 2) (fake_result [ 2; 3 ]);
+  (* A change on switch 1 evicts exactly the entry that read it. *)
+  Rvaas.Reach_cache.invalidate_switch cache ~sw:1;
   check Alcotest.int "one entry evicted" 1 (Rvaas.Reach_cache.length cache);
   check Alcotest.bool "traversing entry gone" true
     (Rvaas.Reach_cache.find cache (key_of 0) = None);
@@ -80,17 +76,14 @@ let test_delta_eviction_unit () =
    table across 10k cycles. *)
 let test_clock_queue_bounded () =
   let cache = Rvaas.Reach_cache.create ~capacity:4096 () in
-  let snapshot = Rvaas.Snapshot.create () in
   (* A few long-lived entries that never get invalidated (they traverse
      only switch 999) — the purge must preserve them. *)
   for i = 100_000 to 100_003 do
-    Rvaas.Reach_cache.add cache (key_of i) ~snapshot (fake_result [ 999 ])
+    Rvaas.Reach_cache.add cache (key_of i) (fake_result [ 999 ])
   done;
   for i = 0 to 9_999 do
-    Rvaas.Reach_cache.add cache (key_of i) ~snapshot (fake_result [ 0 ]);
-    (* The empty snapshot digests switch 0 as 0L; any other digest
-       marks the entry stale and evicts it from the table. *)
-    Rvaas.Reach_cache.invalidate_switch cache ~sw:0 ~digest:(Int64.of_int (i + 1))
+    Rvaas.Reach_cache.add cache (key_of i) (fake_result [ 0 ]);
+    Rvaas.Reach_cache.invalidate_switch cache ~sw:0
   done;
   let live = Rvaas.Reach_cache.length cache in
   check Alcotest.int "only the long-lived entries remain" 4 live;
@@ -243,6 +236,60 @@ let test_cache_attack_detected () =
   check Alcotest.bool "attacker's access point surfaces despite caching" true
     (List.exists (fun p -> not (List.mem p before)) after)
 
+(* ---- keys compare scopes, not only their 63-bit hashes ---- *)
+
+(* [dst_ip_hs] of host 3 on the default linear-4 deployment, and a
+   cube with the same {!Hspace.Tern.hash}.  Every step of the hash's
+   word mixer is invertible: packed words 5 and 6 (ip_dst, ip_proto
+   and port bits) were replaced, word 5 at random and word 6 solved for
+   the target hash, until word 6 encoded a valid cube. *)
+let scope = Rvaas.Verifier.dst_ip_hs 0xa010002
+
+let colliding_scope =
+  Hspace.Hs.of_cube
+    (Hspace.Tern.of_string
+       (String.make 96 'x' ^ "0000000000010000" ^ String.make 43 'x'
+       ^ "100x0x0x01xx1x0111x110x10x1xxx0x000010x010011xxx01001x1100111"
+       ^ String.make 12 'x'))
+
+let check_collision () =
+  check Alcotest.bool "the pair collides" true
+    (Hspace.Hs.hash scope = Hspace.Hs.hash colliding_scope
+    && not (Hspace.Hs.equal scope colliding_scope))
+
+(* The colliding scope asked first must not answer the real one, to
+   which [Verifier.reach] from host 0 gives host 3. *)
+let test_cache_scope_collision () =
+  check_collision ();
+  let s = build (Workload.Topogen.linear Workload.Topogen.default_params 4) in
+  let src =
+    List.find
+      (fun (ep : Rvaas.Verifier.endpoint) -> ep.host = 0)
+      (Rvaas.Verifier.access_points (Netsim.Net.topology s.net))
+  in
+  let ask hs =
+    snd
+      (Rvaas.Service.evaluate s.service ~client:0 ~sw:src.sw ~port:src.port
+         (Rvaas.Query.make ~scope:hs Rvaas.Query.Reachable_endpoints))
+    |> List.map (fun (ep : Rvaas.Verifier.endpoint) -> ep.host)
+  in
+  ignore (ask colliding_scope);
+  check Alcotest.(list int) "cache does not serve the collision" [ 3 ] (ask scope)
+
+(* Two tenants at one access point asking colliding scopes are two
+   computations, not one. *)
+let test_frontend_scope_collision () =
+  check_collision ();
+  let fe = Rvaas.Frontend.create (Rvaas.Frontend.coalescing ()) in
+  List.iteri
+    (fun client hs ->
+      let q = Rvaas.Query.make ~scope:hs Rvaas.Query.Reachable_endpoints in
+      let key = Rvaas.Frontend.key_of ~client ~sw:1 ~port:1 q in
+      ignore (Rvaas.Frontend.submit fe ~key ~client ~sw:1 ~port:1 q ~waiter:()))
+    [ colliding_scope; scope ];
+  ignore (Rvaas.Frontend.flush fe);
+  check Alcotest.int "two computations" 2 (Rvaas.Frontend.stats fe).Rvaas.Frontend.entries
+
 let () =
   Alcotest.run "cache"
     [
@@ -258,5 +305,10 @@ let () =
         [
           Alcotest.test_case "cache never masks an attack" `Quick
             test_cache_attack_detected;
+        ] );
+      ( "scope-collision",
+        [
+          Alcotest.test_case "reach cache" `Quick test_cache_scope_collision;
+          Alcotest.test_case "front-end coalescing" `Quick test_frontend_scope_collision;
         ] );
     ]

@@ -148,6 +148,27 @@ let test_federation_validation () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* A federation kept across a configuration change answers from the
+   domains' current rules, like a fresh one and the uncached sweep. *)
+let test_federation_sees_changed_rules () =
+  let s = internetwork () in
+  let topo = Netsim.Net.topology s.net in
+  let hs = Rvaas.Verifier.ip_traffic_hs () in
+  let hosts eps = List.sort compare (List.map (fun ((ep : Rvaas.Verifier.endpoint), _) -> ep.host) eps) in
+  let ask fed =
+    hosts (Rvaas.Federation.reach fed ~start_domain:"provider-A" ~src_sw:0 ~src_port:0 ~hs).endpoints
+  in
+  let long_lived = Rvaas.Federation.create topo (make_domains s) in
+  check (Alcotest.list Alcotest.int) "before the change" [ 1; 2; 3 ] (ask long_lived);
+  Sdnctl.Attack.launch s.net s.addressing ~conn:(Sdnctl.Provider.conn s.provider)
+    (Sdnctl.Attack.Blackhole { victim_host = 3 });
+  Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
+  let sweep = Rvaas.Verifier.reach ~flows_of:(Workload.Scenario.actual_flows s) topo ~src_sw:0 ~src_port:0 ~hs in
+  check (Alcotest.list Alcotest.int) "the sweep drops h3" [ 1; 2 ] (hosts sweep.endpoints);
+  check (Alcotest.list Alcotest.int) "a fresh federation agrees" [ 1; 2 ]
+    (ask (Rvaas.Federation.create topo (make_domains s)));
+  check (Alcotest.list Alcotest.int) "the long-lived federation agrees" [ 1; 2 ] (ask long_lived)
+
 (* ---- traceback ---- *)
 
 let traceback_scenario () =
@@ -248,6 +269,8 @@ let () =
           Alcotest.test_case "cross-domain reach" `Quick test_federated_reach_crosses_domains;
           Alcotest.test_case "distrust" `Quick test_federated_reach_respects_distrust;
           Alcotest.test_case "validation" `Quick test_federation_validation;
+          Alcotest.test_case "long-lived federation sees changed rules" `Quick
+            test_federation_sees_changed_rules;
         ] );
       ( "traceback",
         [

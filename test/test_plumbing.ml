@@ -5,9 +5,10 @@
    and controller hits — on monitored deployments, on synthetic rule
    sets with field rewrites, and (the core property) on random
    topologies under random Flow-Mod sequences, where the incremental
-   update path and a recompile from scratch must also agree with each
-   other.  The oracle is [Rvaas.Verifier_ref], the naive textbook HSA
-   formulation. *)
+   update path and a fresh compile must also agree with each other.
+   The memo, the sweep and a fresh compile share one traversal
+   ({!Rvaas.Verifier.trace_in}), so the independent oracle is
+   [Rvaas.Verifier_ref], the naive textbook HSA formulation. *)
 
 let check = Alcotest.check
 let width = Hspace.Field.total_width
@@ -145,48 +146,11 @@ let test_rewrite_fallback () =
   check Alcotest.bool "scoped queries on tainted sources fell back" true
     (st.Rvaas.Plumbing.fallback_sweeps > 0)
 
-(* ---- churn threshold: a burst of distinct-switch deltas beyond the
-   threshold recompiles; queries between deltas reset the burst ---- *)
-
-let test_churn_recompile () =
-  let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
-  let flows_of _ = [] in
-  let switches = Netsim.Topology.switches topo in
-  let a, b, c =
-    match switches with
-    | a :: b :: c :: _ -> (a, b, c)
-    | _ -> Alcotest.fail "linear 4 has at least three switches"
-  in
-  let burst = Rvaas.Plumbing.compile ~churn_threshold:2 ~flows_of topo in
-  check Alcotest.int "explicit threshold resolved" 2
-    (Rvaas.Plumbing.churn_threshold burst);
-  Rvaas.Plumbing.update burst ~sw:a;
-  Rvaas.Plumbing.update burst ~sw:b;
-  check Alcotest.int "below the threshold: delta path" 0
-    (Rvaas.Plumbing.stats burst).Rvaas.Plumbing.recompiles;
-  Rvaas.Plumbing.update burst ~sw:c;
-  check Alcotest.int "burst beyond the threshold recompiled" 1
-    (Rvaas.Plumbing.stats burst).Rvaas.Plumbing.recompiles;
-  (* Interleaved queries mark the graph settled, so the same three
-     deltas never accumulate into a burst. *)
-  let settled = Rvaas.Plumbing.compile ~churn_threshold:2 ~flows_of topo in
-  let ep = List.hd (Rvaas.Verifier.access_points topo) in
-  List.iter
-    (fun sw ->
-      Rvaas.Plumbing.update settled ~sw;
-      ignore
-        (Rvaas.Plumbing.reach settled ~src_sw:ep.Rvaas.Verifier.sw
-           ~src_port:ep.Rvaas.Verifier.port
-           ~hs:(Rvaas.Verifier.ip_traffic_hs ())))
-    [ a; b; c ];
-  check Alcotest.int "settled deltas never recompile" 0
-    (Rvaas.Plumbing.stats settled).Rvaas.Plumbing.recompiles
-
 (* ---- differential churn: a random event program (rolling upgrades,
    link flaps, transient attacks) runs over a generated world while the
-   service's compiled engine answers; after every burst the live graph
-   must match the sweep oracle AND a recompile from scratch of the same
-   believed view ---- *)
+   service's compiled engine answers; after every burst the live memo
+   must match the reference verifier, the sweep AND a fresh compile of
+   the same believed view ---- *)
 
 let differential_churn topo ~seed =
   let s =
@@ -241,9 +205,15 @@ let differential_churn topo ~seed =
             let recompiled =
               Rvaas.Plumbing.reach fresh ~src_sw:ep.sw ~src_port:ep.port ~hs
             in
+            let reference =
+              Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:ep.sw
+                ~src_port:ep.port ~hs
+            in
+            check Alcotest.bool "compiled equals reference under churn" true
+              (results_agree live reference);
             check Alcotest.bool "compiled equals sweep under churn" true
               (results_agree live sweep);
-            check Alcotest.bool "incremental equals recompile under churn" true
+            check Alcotest.bool "incremental equals fresh compile under churn" true
               (results_agree live recompiled))
           scopes)
       points
@@ -425,8 +395,8 @@ let prop_compiled_equals_reference =
              agree plumbing)
            mods
       &&
-      (* The incrementally maintained graph and a recompile from
-         scratch agree on every question. *)
+      (* The incrementally maintained memo and a fresh compile agree
+         on every question. *)
       let fresh = Rvaas.Plumbing.compile ~flows_of topo in
       List.for_all
         (fun (ep : Rvaas.Verifier.endpoint) ->
@@ -459,7 +429,5 @@ let () =
         [
           Alcotest.test_case "service compiled engine stays current" `Quick
             test_service_compiled_engine;
-          Alcotest.test_case "churn threshold triggers recompile" `Quick
-            test_churn_recompile;
         ] );
     ]

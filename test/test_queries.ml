@@ -322,6 +322,27 @@ let test_wrong_port_auth_reply_rejected () =
     | None -> Alcotest.fail "host 2's endpoint missing from answer")
   | _ -> Alcotest.fail "expected exactly one outcome"
 
+(* A keyed client's malformed scope is refused at the codec: the
+   simulation keeps running and another tenant's concurrent query is
+   still answered. *)
+let test_bad_scope_rejected_end_to_end () =
+  let s = build ~clients:2 ~switches:4 () in
+  let rejected0 = (Rvaas.Service.stats s.service).queries_rejected in
+  let send host scope =
+    let agent = Workload.Scenario.agent s ~host in
+    ignore (Rvaas.Client_agent.send_query agent (Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints));
+    agent
+  in
+  let hostile = send 0 (Hspace.Hs.of_cube (Hspace.Tern.of_string "01x01")) in
+  let honest = send 1 (Rvaas.Verifier.ip_traffic_hs ()) in
+  Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 1.0);
+  check Alcotest.int "malformed scope counted as rejected" (rejected0 + 1)
+    (Rvaas.Service.stats s.service).queries_rejected;
+  check Alcotest.int "hostile query unanswered" 0 (List.length (Rvaas.Client_agent.outcomes hostile));
+  match Rvaas.Client_agent.outcomes honest with
+  | [ outcome ] -> check Alcotest.bool "honest answer signed" true outcome.Rvaas.Client_agent.signature_ok
+  | _ -> Alcotest.fail "the honest tenant's query was not answered"
+
 (* ---- agent behaviour ---- *)
 
 let test_agent_counts_auth_requests () =
@@ -374,6 +395,8 @@ let () =
           Alcotest.test_case "service stats" `Quick test_service_stats_progress;
           Alcotest.test_case "spoofed auth reply" `Quick test_spoofed_auth_reply_rejected;
           Alcotest.test_case "wrong-port replay" `Quick test_wrong_port_auth_reply_rejected;
+          Alcotest.test_case "malformed scope rejected" `Quick
+            test_bad_scope_rejected_end_to_end;
           Alcotest.test_case "agent auth counter" `Quick test_agent_counts_auth_requests;
           Alcotest.test_case "agent ignores foreign answers" `Quick
             test_agent_ignores_foreign_answers;

@@ -211,6 +211,38 @@ let test_codec_answer_tamper_detected () =
        (Rvaas.Codec.decode_answer tampered
           ~service_public:(Cryptosim.Keys.public service_kp)))
 
+(* ---- codec: scopes are checked before any header-space work ---- *)
+
+(* A keyed client's 5-bit scope used to reach [Hs.of_cubes], which
+   raised and took the service down; an unparsable line was dropped,
+   widening the question to all IP traffic; any number of cubes was
+   normalised. *)
+let test_codec_malformed_scopes () =
+  let query_with lines =
+    Rvaas.Codec.query_of_string
+      (String.concat "\n" ("kind=reachable" :: List.map (( ^ ) "scope=") lines))
+  in
+  let x = String.make Hspace.Field.total_width 'x' and n = Rvaas.Codec.max_scope_cubes in
+  List.iter
+    (fun (what, lines) -> check Alcotest.bool what true (Result.is_error (query_with lines)))
+    [
+      ("one bit too wide", [ x ^ "x" ]);
+      ("unparsable", [ "01q" ]);
+      ("unparsable at full width", [ x; String.mapi (fun i c -> if i = 7 then 'q' else c) x ]);
+      ("beyond the cube bound", List.init (n + 1) (fun _ -> x));
+    ];
+  check Alcotest.bool "at the cube bound" true (Result.is_ok (query_with (List.init n (fun _ -> x))));
+  let query =
+    Rvaas.Query.make ~scope:(Hspace.Hs.of_cube (Hspace.Tern.of_string "01x01"))
+      Rvaas.Query.Reachable_endpoints
+  in
+  let payload =
+    Rvaas.Codec.encode_request { Rvaas.Codec.client = 7; nonce = "w"; query } ~key:client_key
+      ~recipient:(Cryptosim.Keys.public service_kp)
+  in
+  check Alcotest.bool "5-bit scope past the mac" true
+    (Result.is_error (Rvaas.Codec.decode_request payload ~keypair:service_kp ~lookup_key))
+
 (* ---- codec robustness: malformed inputs never crash, never pass ---- *)
 
 let test_codec_fuzz_garbage () =
@@ -1063,6 +1095,7 @@ let () =
           Alcotest.test_case "garbage fuzz" `Quick test_codec_fuzz_garbage;
           Alcotest.test_case "truncation" `Quick test_codec_truncation_rejected;
           Alcotest.test_case "missing age" `Quick test_codec_answer_missing_age;
+          Alcotest.test_case "malformed scopes" `Quick test_codec_malformed_scopes;
           QCheck_alcotest.to_alcotest prop_answer_roundtrip;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_auth_roundtrip;
