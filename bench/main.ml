@@ -2848,6 +2848,30 @@ let micro () =
     | _ -> assert false
   in
   let snapshot = Rvaas.Monitor.snapshot s.monitor in
+  (* Guard derivation after a Flow-Mod, on tenant-probe's world
+     (Waxman-80, 8 tenants): the switch with the most ingress ports, and
+     the match of its median rule. *)
+  let wax =
+    Workload.Topogen.waxman Workload.Topogen.default_params (Support.Rng.create 7) ~n:80
+      ~alpha:0.3 ~beta:0.3
+  in
+  let ws = build_scenario ~clients:8 wax in
+  Workload.Scenario.run ws ~until:(Netsim.Sim.now (Netsim.Net.sim ws.net) +. 0.2);
+  let wax_flows sw = Rvaas.Snapshot.flows (Rvaas.Monitor.snapshot ws.monitor) ~sw in
+  let wax_ctx = Rvaas.Verifier.context ~flows_of:wax_flows wax in
+  let wax_sw, wax_ports =
+    List.fold_left
+      (fun (best, best_ports) sw ->
+        let ports = Netsim.Topology.switch_ports wax sw in
+        if List.length ports > List.length best_ports then (sw, ports) else (best, best_ports))
+      (-1, []) (Netsim.Topology.switches wax)
+  in
+  let wax_rules = wax_flows wax_sw in
+  let wax_match =
+    (List.nth wax_rules (List.length wax_rules / 2)).Ofproto.Flow_entry.match_
+  in
+  Printf.printf "guards_switch: waxman-80 switch %d, %d ingress ports, %d rules\n"
+    wax_sw (List.length wax_ports) (List.length wax_rules);
   let service_kp = Cryptosim.Keys.generate rng ~owner:"bench" in
   let empty_answer =
     {
@@ -2880,6 +2904,13 @@ let micro () =
             (Rvaas.Verifier.reach ~flows_of topo ~src_sw
                ~src_port:att.Netsim.Topology.port
                ~hs:(Rvaas.Verifier.dst_ip_hs 0x0A000002)) );
+      ("match_to_tern", fun () -> ignore (Ofproto.Match_.to_tern wax_match));
+      ( "guards_switch",
+        fun () ->
+          Rvaas.Verifier.invalidate_switch wax_ctx ~sw:wax_sw;
+          List.iter
+            (fun port -> ignore (Rvaas.Verifier.guards wax_ctx ~sw:wax_sw ~port))
+            wax_ports );
       ("snapshot_digest", fun () -> ignore (Rvaas.Snapshot.digest snapshot));
       ("flow_table_add_100", fun () -> Ofproto.Flow_table.add route_table mid ~now:0.0);
       (* What the monitor pays per Flow-Mod event: the event, then the

@@ -17,5 +17,3 @@ let verify q ~expected ~nonce =
 
 let forge ~measurement ~nonce =
   { measurement; nonce; endorsement = Hash.digest_hex ("forged#" ^ measurement ^ nonce) }
-
-let measurement_to_string m = m

@@ -26,5 +26,3 @@ val verify : quote -> expected:measurement -> nonce:string -> bool
 (** [forge ~measurement ~nonce] builds a quote NOT endorsed by the
     hardware key; {!verify} rejects it.  Used in negative tests. *)
 val forge : measurement:measurement -> nonce:string -> quote
-
-val measurement_to_string : measurement -> string

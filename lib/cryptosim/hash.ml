@@ -2,13 +2,13 @@ let fnv_offset = 0xCBF29CE484222325L
 
 let fnv_prime = 0x100000001B3L
 
+(* An index loop over a local ref: ocamlopt keeps [h] unboxed, where a
+   closure-captured ref would box an [int64] on every byte. *)
 let digest s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   !h
 
 let digest_hex s = Printf.sprintf "%016Lx" (digest s)

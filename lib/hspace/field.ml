@@ -44,14 +44,7 @@ let name_to_string = function
   | Tp_dst -> "tp_dst"
 
 let set_masked t f ~value ~mask =
-  let base = offset f and w = bit_width f in
-  let t = ref t in
-  for i = 0 to w - 1 do
-    if (mask lsr i) land 1 = 1 then
-      let b = if (value lsr i) land 1 = 1 then Tern.One else Tern.Zero in
-      t := Tern.set !t (base + i) b
-  done;
-  !t
+  Tern.set_masked t ~base:(offset f) ~len:(bit_width f) ~value ~mask
 
 let full_mask f =
   let w = bit_width f in

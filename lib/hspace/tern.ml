@@ -46,6 +46,37 @@ let set t i b =
   words.(k) <- (words.(k) land lnot (3 lsl pos)) lor (encode b lsl pos);
   { t with words }
 
+(* Spread the low 31 bits of [x] onto the even positions (bit i to bit
+   2i): the "part1by1" interleave, five shift-and-mask steps. *)
+let spread x =
+  let x = x land 0x7FFFFFFF in
+  let x = (x lor (x lsl 16)) land 0x0000FFFF0000FFFF in
+  let x = (x lor (x lsl 8)) land 0x00FF00FF00FF00FF in
+  let x = (x lor (x lsl 4)) land 0x0F0F0F0F0F0F0F0F in
+  let x = (x lor (x lsl 2)) land 0x3333333333333333 in
+  (x lor (x lsl 1)) land evens_mask
+
+(* One copy of the words, then each word the range touches is
+   rewritten at once: the masked value bits become 01/10 pairs. *)
+let set_masked t ~base ~len ~value ~mask =
+  if base < 0 || len < 0 || len > Sys.int_size || base + len > t.width then
+    invalid_arg "Tern.set_masked: range out of bounds";
+  let words = Array.copy t.words in
+  let i = ref 0 in
+  while !i < len do
+    let pos = base + !i in
+    let k = pos / bits_per_word and off = pos mod bits_per_word in
+    let n = min (len - !i) (bits_per_word - off) in
+    let chunk = (1 lsl n) - 1 in
+    let m = (mask lsr !i) land chunk and v = (value lsr !i) land chunk in
+    let sel = spread m in
+    let pairs = (sel lor (sel lsl 1)) lsl (2 * off)
+    and enc = (spread (m land lnot v) lor (spread (m land v) lsl 1)) lsl (2 * off) in
+    words.(k) <- (words.(k) land lnot pairs) lor enc;
+    i := !i + n
+  done;
+  { t with words }
+
 let is_empty t =
   let n = Array.length t.words in
   let rec go k =
@@ -162,7 +193,7 @@ let subset a b =
     in
     go 0
 
-let overlaps a b = not (is_empty (inter a b))
+let overlaps a b = not (disjoint a b)
 
 let equal a b = a.width = b.width && a.words = b.words
 

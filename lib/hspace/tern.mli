@@ -32,6 +32,14 @@ val get : t -> int -> bit
 (** [set t i b] returns a copy of [t] with bit [i] set to [b]. *)
 val set : t -> int -> bit -> t
 
+(** [set_masked t ~base ~len ~value ~mask] returns a copy of [t] in
+    which each bit [base + i] ([0 <= i < len]) whose mask bit [i] is 1
+    holds bit [i] of [value]; the other bits are unchanged.  One array
+    copy, rewritten word by word, where a fold of {!set} copies once
+    per bit.  @raise Invalid_argument if the range leaves [t] or [len]
+    exceeds [Sys.int_size]. *)
+val set_masked : t -> base:int -> len:int -> value:int -> mask:int -> t
+
 (** [is_empty t] is true when some position is [Empty], i.e. [t]
     denotes no concrete header. *)
 val is_empty : t -> bool
@@ -50,7 +58,8 @@ val inter : t -> t -> t
     Empty vectors are subsets of everything. *)
 val subset : t -> t -> bool
 
-(** [overlaps a b] is true when [inter a b] is non-empty. *)
+(** [overlaps a b] is true when [inter a b] is non-empty: [not
+    (disjoint a b)], so it builds no vector. *)
 val overlaps : t -> t -> bool
 
 (** [disjoint a b] is [not (overlaps a b)] computed without allocating

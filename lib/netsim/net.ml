@@ -345,8 +345,6 @@ let clear_link_faults t endpoint = Hashtbl.remove t.link_faults endpoint
 
 let set_default_link_faults t faults = t.default_link_faults <- faults
 
-let conn_faults conn = conn.faults
-
 let conn_name conn = conn.name
 
 let conn_tx conn = conn.tx

@@ -112,9 +112,6 @@ val conn_rx : conn -> int
     dropped by the connection's fault config. *)
 val conn_lost : conn -> int
 
-(** [conn_faults conn] is the connection's fault config. *)
-val conn_faults : conn -> Faults.t
-
 (** {1 Session teardown and re-establishment}
 
     Crash-recovery primitives (paper stance: verification must outlive

@@ -46,16 +46,6 @@ let apply ~ports ~in_port header actions =
 let rewrites actions =
   List.filter_map (function Set_field (f, v) -> Some (f, v) | _ -> None) actions
 
-let output_ports ~ports ~in_port actions =
-  let flood_ports = List.filter (fun p -> p <> in_port) ports in
-  List.concat_map
-    (function
-      | Output p -> if p = in_port then [] else [ p ]
-      | In_port -> [ in_port ]
-      | Flood -> flood_ports
-      | To_controller | Set_field _ | Set_queue _ -> [])
-    actions
-
 let sends_to_controller actions =
   List.exists (function To_controller -> true | _ -> false) actions
 

@@ -35,10 +35,6 @@ val apply :
     application order (used by the header-space transfer function). *)
 val rewrites : t list -> (Hspace.Field.name * int) list
 
-(** [output_ports ~ports ~in_port actions] lists concrete egress ports
-    without computing rewrites. *)
-val output_ports : ports:int list -> in_port:int -> t list -> int list
-
 (** [sends_to_controller actions] is true when the list contains
     [To_controller]. *)
 val sends_to_controller : t list -> bool

@@ -45,11 +45,14 @@ let matches t ~in_port header =
          Hspace.Header.get header f land mask = value)
        t.fields
 
+(* Cubes are immutable, so every match starts from one shared full
+   cube and costs one copy per constrained field. *)
+let full_cube = Hspace.Tern.all_x Hspace.Field.total_width
+
 let to_tern t =
   List.fold_left
     (fun cube (f, { value; mask }) -> Hspace.Field.set_masked cube f ~value ~mask)
-    (Hspace.Tern.all_x Hspace.Field.total_width)
-    t.fields
+    full_cube t.fields
 
 let port_subset a b =
   match a, b with

@@ -315,12 +315,6 @@ let poll_retries t = t.poll_retries
 
 let stop_polling t = t.polling_active <- false
 
-let resume_polling t =
-  if not t.polling_active then begin
-    t.polling_active <- true;
-    schedule_poll t
-  end
-
 let poll_now t = poll_all t
 
 let journal t = t.journal

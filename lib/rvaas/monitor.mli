@@ -110,10 +110,6 @@ val poll_retries : t -> int
     flag; already-queued simulator events become no-ops). *)
 val stop_polling : t -> unit
 
-(** [resume_polling t] restarts the polling schedule after
-    {!stop_polling} (idempotent). *)
-val resume_polling : t -> unit
-
 (** [poll_now t] fires one immediate stats sweep of every switch —
     the resynchronisation step after a session is re-established. *)
 val poll_now : t -> unit

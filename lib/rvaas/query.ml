@@ -70,7 +70,7 @@ let pp_endpoint fmt e =
 
 let pp_answer fmt a =
   Format.fprintf fmt
-    "@[<v>answer %a nonce=%s%s%s@ endpoints: %a@ auth %d/%d replies@ jurisdictions: %a%a%a@ snapshot_age=%.4fs@]"
+    "@[<v>answer %a nonce=%s%s%s@ endpoints: %a@ auth %d/%d replies@ jurisdictions: %a%a%a%a@ snapshot_age=%.4fs@]"
     pp_kind a.kind a.nonce
     (if a.throttled then " THROTTLED" else "")
     (if a.degraded then " DEGRADED" else "")
@@ -91,4 +91,9 @@ let pp_answer fmt a =
              ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ")
              (fun fmt (id, rate) -> Format.fprintf fmt "%d@%dkbps" id rate))
           meters)
-    a.meters a.snapshot_age
+    a.meters
+    (fun fmt ->
+      List.iter (fun (sw, port, hs) ->
+          Format.fprintf fmt "@ transfer: sw=%d port=%d cubes=%d" sw port
+            (Hspace.Hs.cube_count hs)))
+    a.transfer a.snapshot_age

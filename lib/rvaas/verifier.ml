@@ -26,38 +26,68 @@ type guarded = {
          few word operations, before any cube-product work *)
 }
 
-let guarded_rules flows_of sw port =
-  let applicable =
-    List.filter
-      (fun (spec : Ofproto.Flow_entry.spec) ->
-        match Ofproto.Match_.in_port spec.match_ with
-        | None -> true
-        | Some p -> p = port)
-      (flows_of sw)
-  in
-  (* flows_of yields priority-descending order (Flow_table invariant);
-     accumulate the higher-priority cubes as we walk down. *)
-  let _, guarded =
-    List.fold_left
-      (fun (above, acc) (spec : Ofproto.Flow_entry.spec) ->
-        let cube = Ofproto.Match_.to_tern spec.match_ in
-        let shadow = List.filter (fun c -> Hspace.Tern.overlaps c cube) above in
-        let fully_shadowed = List.exists (fun c -> Hspace.Tern.subset cube c) shadow in
-        let acc =
-          if fully_shadowed then acc
-          else
-            {
-              g_spec = spec;
-              g_cube = cube;
-              g_shadow = shadow;
-              g_pre = Hspace.Tern.prefilter cube;
-            }
-            :: acc
+(* One rule of a switch, derived once per configuration change, on the
+   switch's first visit.  Each ingress port's guard list is a filter
+   over these records. *)
+type rule = {
+  spec : Ofproto.Flow_entry.spec;
+  cube : Hspace.Tern.t;
+  above : rule list;
+      (* the earlier rules whose match overlaps this one, nearest first;
+         rules bound to another ingress port never overlap *)
+  mutable guard : guarded option;
+      (* built on the first port where the rule is not fully shadowed:
+         its prefilter, and its guard, shared, on every port where no
+         port-bound rule of [above] applies *)
+}
+
+let applies (spec : Ofproto.Flow_entry.spec) port =
+  match Ofproto.Match_.in_port spec.match_ with None -> true | Some p -> p = port
+
+let port_free r = Ofproto.Match_.in_port r.spec.match_ = None
+
+(* [flows] is priority-descending (Flow_table invariant): walking down,
+   [earlier] holds the rules seen so far, nearest first.  The field-wise
+   [Match_.overlaps] also compares in_port constraints and builds no
+   cube. *)
+let derive flows =
+  List.rev
+    (List.fold_left
+       (fun earlier (spec : Ofproto.Flow_entry.spec) ->
+         let above =
+           List.filter (fun a -> Ofproto.Match_.overlaps a.spec.match_ spec.match_) earlier
+         in
+         { spec; cube = Ofproto.Match_.to_tern spec.match_; above; guard = None } :: earlier)
+       [] flows)
+
+(* A rule whose cube an earlier rule applicable on [port] contains is
+   fully shadowed there and dropped, before anything is built for it. *)
+let guards_on rules port =
+  let on_port r = applies r.spec port in
+  let shadow keep r = List.filter_map (fun a -> if keep a then Some a.cube else None) r.above in
+  List.filter_map
+    (fun r ->
+      let covers a = on_port a && Hspace.Tern.subset r.cube a.cube in
+      if (not (on_port r)) || List.exists covers r.above then None
+      else
+        let g =
+          match r.guard with
+          | Some g -> g
+          | None ->
+            let g =
+              {
+                g_spec = r.spec;
+                g_cube = r.cube;
+                g_shadow = shadow port_free r;
+                g_pre = Hspace.Tern.prefilter r.cube;
+              }
+            in
+            r.guard <- Some g;
+            g
         in
-        (cube :: above, acc))
-      ([], []) applicable
-  in
-  List.rev guarded
+        if List.for_all (fun a -> port_free a || not (on_port a)) r.above then Some g
+        else Some { g with g_shadow = shadow on_port r })
+    rules
 
 (* [hs ∩ cube \ shadow] — the packet set this rule actually handles. *)
 let rule_slice hs { g_cube; g_shadow; g_pre; _ } =
@@ -73,12 +103,17 @@ let rewrite_hs hs f v =
   Hspace.Hs.of_cubes width
     (List.map (fun c -> Hspace.Field.set_exact c f v) (Hspace.Hs.cubes hs))
 
+type switch_guards = {
+  rules : rule list;  (* the whole table, in table order *)
+  mutable ports : (int * guarded list) list;  (* ingress ports visited so far *)
+}
+
 type ctx = {
   flows_of : int -> Ofproto.Flow_entry.spec list;
   topo : Netsim.Topology.t;
-  guards_cache : (int, (int * guarded list) list) Hashtbl.t;
-      (* per switch: the guards of each ingress port visited so far, so
-         a Flow-Mod drops one switch with one removal *)
+  guards_cache : (int, switch_guards) Hashtbl.t;
+      (* per switch, so a Flow-Mod drops the rules and every port's
+         guards with one removal *)
 }
 
 let context ~flows_of topo = { flows_of; topo; guards_cache = Hashtbl.create 64 }
@@ -88,12 +123,19 @@ let topology ctx = ctx.topo
 let invalidate_switch ctx ~sw = Hashtbl.remove ctx.guards_cache sw
 
 let guards ctx ~sw ~port =
-  let cached = Option.value ~default:[] (Hashtbl.find_opt ctx.guards_cache sw) in
-  match List.assq_opt port cached with
+  let s =
+    match Hashtbl.find_opt ctx.guards_cache sw with
+    | Some s -> s
+    | None ->
+      let s = { rules = derive (ctx.flows_of sw); ports = [] } in
+      Hashtbl.replace ctx.guards_cache sw s;
+      s
+  in
+  match List.assq_opt port s.ports with
   | Some g -> g
   | None ->
-    let g = guarded_rules ctx.flows_of sw port in
-    Hashtbl.replace ctx.guards_cache sw ((port, g) :: cached);
+    let g = guards_on s.rules port in
+    s.ports <- (port, g) :: s.ports;
     g
 
 type trace = {

@@ -52,11 +52,14 @@ type guarded = {
       (** required-bits view of [g_cube] for word-level rejection *)
 }
 
-(** A verification context caches rule guards per switch and ingress
-    port, derived on first visit and shared by every query against the
-    same configuration view.  {!invalidate_switch} keeps a long-lived
-    context current; the compiled engine ({!Plumbing}) memoises over
-    one. *)
+(** A verification context caches rule guards, shared by every query
+    against the same configuration view.  A switch's rules are derived
+    once, on its first visit (each rule's cube and the earlier rules
+    overlapping it), and each ingress port's guards are filtered from
+    that derivation on the port's first visit; ports where the same
+    rules apply share guard records.  {!invalidate_switch} keeps a
+    long-lived context current; the compiled engine ({!Plumbing})
+    memoises over one. *)
 type ctx
 
 (** [context ~flows_of topo] builds a context (guards are derived
@@ -68,10 +71,10 @@ val context :
 (** [topology ctx] is the wiring plan [ctx] was built over. *)
 val topology : ctx -> Netsim.Topology.t
 
-(** [invalidate_switch ctx ~sw] drops cached guards for [sw] — call
-    when that switch's configuration view changed.  Other switches'
-    caches stay valid, making long-lived contexts cheap to keep current
-    under churn. *)
+(** [invalidate_switch ctx ~sw] drops [sw]'s derived rules and every
+    port's guards — call when that switch's configuration view changed.
+    Other switches' caches stay valid, making long-lived contexts cheap
+    to keep current under churn. *)
 val invalidate_switch : ctx -> sw:int -> unit
 
 (** [guards ctx ~sw ~port] is the guarded rules applicable on ingress

@@ -193,11 +193,6 @@ let verify t =
   let valid = valid_prefix t in
   List.length valid = t.count
 
-let iter_valid t ~f =
-  let valid = valid_prefix t in
-  List.iter f valid;
-  List.length valid
-
 (* ---- binary persistence ---- *)
 
 let magic = "RVJL1"

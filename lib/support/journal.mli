@@ -11,7 +11,7 @@
     checksum and all of its own fields (FNV-1a, self-contained so
     [support] stays dependency-free).  A torn write, reordering, or
     in-place tampering breaks the chain at the first bad entry;
-    {!valid_prefix}/{!iter_valid} recover exactly the prefix written
+    {!valid_prefix} recovers exactly the prefix written
     before the fault.
 
     Generations: every controller incarnation appending to the journal
@@ -111,10 +111,6 @@ val valid_prefix : t -> entry list
 
 (** [verify t] is [true] when every entry is in the valid prefix. *)
 val verify : t -> bool
-
-(** [iter_valid t ~f] applies [f] to the valid prefix in order and
-    returns how many entries were replayed. *)
-val iter_valid : t -> f:(entry -> unit) -> int
 
 (** {1 Compaction}
 

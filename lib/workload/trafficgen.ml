@@ -20,23 +20,6 @@ let make_flow (s : Scenario.t) ~src_host ~dst_host ~rate_pps ~size_bytes ~start
   if rate_pps <= 0.0 then invalid_arg "Trafficgen.make_flow: rate must be positive";
   { src_host; dst_host; rate_pps; size_bytes; start; duration }
 
-(* Background load for soak runs: [count] constant-rate flows between
-   rng-picked distinct host pairs, jittered starts across the first
-   tenth of [duration]. *)
-let random_flows (s : Scenario.t) rng ~count ~rate_pps ~size_bytes ~start ~duration =
-  let hosts = Array.of_list (Netsim.Topology.hosts (Netsim.Net.topology s.net)) in
-  if Array.length hosts < 2 then
-    invalid_arg "Trafficgen.random_flows: need at least two hosts";
-  List.init count (fun _ ->
-      let src_host = hosts.(Support.Rng.int rng (Array.length hosts)) in
-      let rec pick_dst () =
-        let h = hosts.(Support.Rng.int rng (Array.length hosts)) in
-        if h = src_host then pick_dst () else h
-      in
-      let jitter = Support.Rng.float rng (duration /. 10.0) in
-      make_flow s ~src_host ~dst_host:(pick_dst ()) ~rate_pps ~size_bytes
-        ~start:(start +. jitter) ~duration:(duration -. jitter))
-
 (* Flows are tagged with a unique source port so receivers can count
    them apart; the base avoids the protocol's magic ports. *)
 let flow_port index = 40000 + index

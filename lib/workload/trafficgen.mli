@@ -27,21 +27,6 @@ val make_flow :
   duration:float ->
   flow
 
-(** [random_flows scenario rng ~count ~rate_pps ~size_bytes ~start
-    ~duration] draws [count] flows between rng-picked distinct host
-    pairs with starts jittered across the first tenth of [duration] —
-    background data-plane load for soak campaigns.  Deterministic in
-    [rng].  @raise Invalid_argument with fewer than two hosts. *)
-val random_flows :
-  Scenario.t ->
-  Support.Rng.t ->
-  count:int ->
-  rate_pps:float ->
-  size_bytes:int ->
-  start:float ->
-  duration:float ->
-  flow list
-
 type report = {
   flow : flow;
   sent : int;

@@ -12,6 +12,13 @@ let test_hash_deterministic () =
   check Alcotest.bool "different input different digest" false
     (Int64.equal (Cryptosim.Hash.digest "abc") (Cryptosim.Hash.digest "abd"))
 
+(* Published 64-bit FNV-1a test vectors: every signature, MAC, sealed
+   box and store digest is pinned to these bits. *)
+let test_hash_fnv1a_vectors () =
+  List.iter
+    (fun (input, hex) -> check Alcotest.string input hex (Cryptosim.Hash.digest_hex input))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
 let test_hash_hex () =
   check Alcotest.int "16 hex chars" 16 (String.length (Cryptosim.Hash.digest_hex "x"))
 
@@ -133,6 +140,7 @@ let () =
       ( "hash",
         [
           Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
+          Alcotest.test_case "fnv-1a vectors" `Quick test_hash_fnv1a_vectors;
           Alcotest.test_case "hex" `Quick test_hash_hex;
           Alcotest.test_case "combine" `Quick test_hash_combine;
         ] );

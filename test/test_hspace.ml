@@ -316,6 +316,59 @@ let prop_inter_matches_naive =
       if String.contains naive 'z' then T.is_empty (T.inter (t_of a) (t_of b))
       else String.equal packed naive)
 
+(* ---- qcheck: word-wise field writes, non-allocating overlap ---- *)
+
+(* Positions drawn from 0, 1, x and (rarely) z, so some cubes are empty. *)
+let string_with_z_gen n =
+  QCheck2.Gen.(
+    map
+      (fun chars -> String.init n (Array.get chars))
+      (array_size (pure n) (frequencyl [ (4, 'x'); (2, '0'); (2, '1'); (1, 'z') ])))
+
+let header_cube_gen = QCheck2.Gen.map t_of (string_with_z_gen Hspace.Field.total_width)
+
+(* Any int, or a prefix mask of some field (exact and empty included). *)
+let masked_value_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        int;
+        map2
+          (fun f n -> Hspace.Field.prefix_mask f (n mod (Hspace.Field.bit_width f + 1)))
+          (oneofl Hspace.Field.all) nat;
+      ])
+
+let per_bit_set_masked cube ~base ~len ~value ~mask =
+  let t = ref cube in
+  for i = 0 to len - 1 do
+    if (mask lsr i) land 1 = 1 then
+      t := T.set !t (base + i) (if (value lsr i) land 1 = 1 then T.One else T.Zero)
+  done;
+  !t
+
+let prop_set_masked_per_bit =
+  QCheck2.Test.make ~name:"word-wise set_masked = per-bit Tern.set fold" ~count:500
+    QCheck2.Gen.(
+      quad header_cube_gen (oneofl Hspace.Field.all) masked_value_gen masked_value_gen)
+    (fun (cube, f, value, mask) ->
+      let base = Hspace.Field.offset f and len = Hspace.Field.bit_width f in
+      let expected = per_bit_set_masked cube ~base ~len ~value ~mask in
+      T.equal (Hspace.Field.set_masked cube f ~value ~mask) expected
+      (* Arbitrary ranges, not only field-aligned ones, cross words too. *)
+      && (let base = value land max_int mod 170 and len = mask land max_int mod 59 in
+          T.equal
+            (T.set_masked cube ~base ~len ~value:mask ~mask:value)
+            (per_bit_set_masked cube ~base ~len ~value:mask ~mask:value)))
+
+let prop_overlaps_is_nonempty_inter =
+  QCheck2.Test.make ~name:"overlaps = inter non-empty" ~count:500
+    QCheck2.Gen.(
+      let* n = int_range 1 100 in
+      pair (string_with_z_gen n) (string_with_z_gen n))
+    (fun (a, b) ->
+      let a = t_of a and b = t_of b in
+      T.overlaps a b = not (T.is_empty (T.inter a b)))
+
 (* ---- qcheck: Hs algebra vs brute-force enumeration ---- *)
 
 (* Width 8 keeps the concrete universe (256 vectors) fully enumerable,
@@ -403,6 +456,7 @@ let () =
           Alcotest.test_case "count_fixed" `Quick test_tern_count_fixed;
           Alcotest.test_case "of_string invalid" `Quick test_tern_of_string_invalid;
           QCheck_alcotest.to_alcotest prop_inter_matches_naive;
+          QCheck_alcotest.to_alcotest prop_overlaps_is_nonempty_inter;
         ] );
       ("oracle", oracle_tests);
       ( "hs",
@@ -424,5 +478,6 @@ let () =
           Alcotest.test_case "header/tern roundtrip" `Quick test_header_tern_roundtrip;
           Alcotest.test_case "udp constructor" `Quick test_header_udp;
           Alcotest.test_case "set truncates" `Quick test_header_set_truncates;
+          QCheck_alcotest.to_alcotest prop_set_masked_per_bit;
         ] );
     ]

@@ -807,6 +807,115 @@ let test_verifier_sources_reaching_reference topo () =
         expected got)
     (List.filteri (fun i _ -> i < 3) points)
 
+(* ---- guards: one derivation per switch ≡ the per-port derivation ---- *)
+
+(* The oracle: one ingress port's guards derived from scratch, with no
+   per-switch derivation to share: the applicable rules in table order,
+   each shadowed by the earlier applicable cubes that overlap it
+   (nearest first), and dropped when one of them contains it. *)
+let per_port_guards flows_of sw port =
+  let applicable =
+    List.filter
+      (fun (spec : Ofproto.Flow_entry.spec) ->
+        match Ofproto.Match_.in_port spec.match_ with
+        | None -> true
+        | Some p -> p = port)
+      (flows_of sw)
+  in
+  let _, guarded =
+    List.fold_left
+      (fun (above, acc) (spec : Ofproto.Flow_entry.spec) ->
+        let cube = Ofproto.Match_.to_tern spec.match_ in
+        let shadow = List.filter (fun c -> Hspace.Tern.overlaps c cube) above in
+        let fully_shadowed = List.exists (fun c -> Hspace.Tern.subset cube c) shadow in
+        let acc =
+          if fully_shadowed then acc
+          else
+            {
+              Rvaas.Verifier.g_spec = spec;
+              g_cube = cube;
+              g_shadow = shadow;
+              g_pre = Hspace.Tern.prefilter cube;
+            }
+            :: acc
+        in
+        (cube :: above, acc))
+      ([], []) applicable
+  in
+  List.rev guarded
+
+let guards_port_count = 4
+
+(* Few distinct values per field, so matches overlap, contain one
+   another and tie on priority. *)
+let guard_rule_gen =
+  QCheck2.Gen.(
+    let* priority = int_range 1 4 in
+    let* in_port = opt ~ratio:0.3 (int_range 0 (guards_port_count - 1)) in
+    let* dst = opt ~ratio:0.8 (pair (int_range 0 3) (oneofl [ 0; 24; 30; 31; 32 ])) in
+    let* proto = opt ~ratio:0.4 (oneofl [ Hspace.Header.proto_tcp; Hspace.Header.proto_udp ]) in
+    let* tp = opt ~ratio:0.3 (pair (int_range 0 3) (int_range 0 3)) in
+    let+ out = int_range 0 (guards_port_count - 1) in
+    let m = Ofproto.Match_.any in
+    let m = match in_port with None -> m | Some p -> Ofproto.Match_.with_in_port m p in
+    let m =
+      match dst with
+      | None -> m
+      | Some (v, prefix_len) ->
+        Ofproto.Match_.with_prefix m Hspace.Field.Ip_dst ~value:(0x0A000000 + v) ~prefix_len
+    in
+    let m =
+      match proto with None -> m | Some p -> Ofproto.Match_.with_exact m Hspace.Field.Ip_proto p
+    in
+    let m =
+      match tp with
+      | None -> m
+      | Some (value, mask) -> Ofproto.Match_.with_field m Hspace.Field.Tp_dst ~value ~mask
+    in
+    Ofproto.Flow_entry.make_spec ~priority m [ Ofproto.Action.Output out ])
+
+(* Priority-descending, ties in generation order (the Flow_table
+   invariant [flows_of] promises). *)
+let table_of specs =
+  List.stable_sort
+    (fun (a : Ofproto.Flow_entry.spec) b -> compare b.priority a.priority)
+    specs
+
+let prop_guards_match_per_port =
+  QCheck2.Test.make ~name:"guards = per-port derivation, across an edit" ~count:200
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 24) guard_rule_gen)
+        (list_size (int_range 0 24) guard_rule_gen)
+        (pair (int_range 0 24) (list_size (int_range 1 4) guard_rule_gen)))
+    (fun (rules0, rules1, (drop, added)) ->
+      let tables = [| table_of rules0; table_of rules1 |] in
+      let flows_of sw = tables.(sw) in
+      let ctx = Rvaas.Verifier.context ~flows_of (verifier_fixture ()) in
+      let same_everywhere () =
+        List.for_all
+          (fun sw ->
+            List.for_all
+              (fun port ->
+                let got = Rvaas.Verifier.guards ctx ~sw ~port
+                and want = per_port_guards flows_of sw port in
+                List.length got = List.length want
+                && List.for_all2
+                     (fun (g : Rvaas.Verifier.guarded) (r : Rvaas.Verifier.guarded) ->
+                       g.g_spec == r.g_spec
+                       && Hspace.Tern.equal g.g_cube r.g_cube
+                       && List.equal Hspace.Tern.equal g.g_shadow r.g_shadow)
+                     got want)
+              (List.init (guards_port_count + 1) Fun.id))
+          [ 0; 1 ]
+      in
+      let before = same_everywhere () in
+      (* A Flow-Mod on switch 0: drop one rule, add others; switch 1's
+         guards stay cached. *)
+      tables.(0) <- table_of (List.filteri (fun i _ -> i <> drop) rules0 @ added);
+      Rvaas.Verifier.invalidate_switch ctx ~sw:0;
+      before && same_everywhere ())
+
 (* ---- differential: optimised verifier ≡ reference verifier ---- *)
 
 let test_verifier_matches_reference () =
@@ -1131,6 +1240,7 @@ let () =
                (Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4));
           Alcotest.test_case "matches reference implementation" `Quick
             test_verifier_matches_reference;
+          QCheck_alcotest.to_alcotest prop_guards_match_per_port;
         ] );
       ( "detector",
         [
