@@ -115,7 +115,7 @@ let e2 () =
       Printf.printf "%-12s | no answer\n" (if attack then "join attack" else "benign")
     | Some outcome ->
       let answer = outcome.Rvaas.Client_agent.answer in
-      let policy = Workload.Scenario.policy_for s ~client:0 in
+      let policy = Workload.Scenario.policy_for s ~host:0 in
       let alarms = Rvaas.Detector.check_answer policy answer in
       Printf.printf "%-12s | %9d %9d %9d | %s\n"
         (if attack then "join attack" else "benign")
@@ -382,22 +382,12 @@ let e7 () =
         ~conn:(Sdnctl.Provider.conn s.provider)
         attack);
     Workload.Scenario.run s ~until:(t_attack +. 0.5);
-    let topo_net = Netsim.Net.topology s.net in
-    let own_points = Sdnctl.Addressing.access_points s.addressing topo_net ~client:0 in
     let peer_ip = (Option.get (Sdnctl.Addressing.host s.addressing ~host:2)).ip in
-    (* An answer never lists the querier's own access point (h0's):
-       an Output to the ingress port is suppressed. *)
-    let querier_point =
-      match Netsim.Topology.host_attachment topo_net 0 with
-      | Some { Netsim.Topology.node = Netsim.Topology.Switch sw; port } -> Some (sw, port)
-      | Some _ | None -> None
-    in
     let policy =
       {
-        (Workload.Scenario.policy_for s ~client:0) with
+        (Workload.Scenario.policy_for s ~host:0) with
         Rvaas.Detector.forbidden_jurisdictions = [ "RU" ];
         min_rate_kbps = Some 1000;
-        expected_reachable = List.filter (fun p -> Some p <> querier_point) own_points;
       }
     in
     let detected_by query =
@@ -873,7 +863,7 @@ let e14_benign_trial ~seed ~loss ~retry =
     | Some o ->
       let a = o.Rvaas.Client_agent.answer in
       let alarms =
-        Rvaas.Detector.check_answer (Workload.Scenario.policy_for s ~client:0) a
+        Rvaas.Detector.check_answer (Workload.Scenario.policy_for s ~host:0) a
       in
       let lossless =
         (not a.Rvaas.Query.degraded)
@@ -902,7 +892,7 @@ let e14_attack_trial ~seed ~loss ~retry =
   | None -> false
   | Some o ->
     Rvaas.Detector.check_answer
-      (Workload.Scenario.policy_for s ~client:0)
+      (Workload.Scenario.policy_for s ~host:0)
       o.Rvaas.Client_agent.answer
     <> []
 
@@ -1132,7 +1122,7 @@ type e16_verdict = { v_endpoints : int; v_auth : int; v_alarms : string list }
 let e16_verdict_of s (outcome : Rvaas.Client_agent.outcome) =
   let answer = outcome.Rvaas.Client_agent.answer in
   let alarms =
-    Rvaas.Detector.check_answer (Workload.Scenario.policy_for s ~client:0) answer
+    Rvaas.Detector.check_answer (Workload.Scenario.policy_for s ~host:0) answer
   in
   {
     v_endpoints = List.length answer.Rvaas.Query.endpoints;
@@ -1453,7 +1443,7 @@ let e18 () =
       let s = build_scenario ~clients:4 topo in
       Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
       (* Freeze the monitored view into tables the bench mutates
-         directly: engine-level measurement, no simulator noise. *)
+         directly: verifier-level measurement, no simulator noise. *)
       let snapshot = Rvaas.Monitor.snapshot s.monitor in
       let switches = Netsim.Topology.switches topo in
       let tables = Hashtbl.create 64 in
@@ -1519,7 +1509,7 @@ let e18 () =
                     r)
             done)
       in
-      (* Compiled engine: one-time compile (the warm sources), then
+      (* Plumbing memo: one-time compile (the warm sources), then
          every query is a lookup. *)
       let plumbing, compile_dt =
         wall (fun () ->
@@ -1735,7 +1725,6 @@ type drive_result = {
   d_coalesce : float;
   d_subsume : float;
   d_subsumed : int;
-  d_pool_warms : int;
   d_arrivals : int;  (* answers delivered *)
 }
 
@@ -1743,8 +1732,7 @@ type drive_result = {
    [sampler]) through the served path in waves of [wave], so
    undelivered answer packets never pile past one wave.  Shared by E19
    (Zipf identical-duplicate mix) and E20 (Zipf scope-width mix). *)
-let frontend_drive ?(engine = `Sweep) ?(wave = e19_wave) ~frontend ~sampler ~n ()
-    =
+let frontend_drive ?(wave = e19_wave) ~frontend ~sampler ~n () =
   (* Three hosts per edge switch: 54 endpoints, so a tenant-wide scope
      probes ~26 same-tenant attachment points per query — the auth-round
      cost the front-end amortizes across coalesced duplicates. *)
@@ -1755,7 +1743,7 @@ let frontend_drive ?(engine = `Sweep) ?(wave = e19_wave) ~frontend ~sampler ~n (
   in
   let s =
     Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with engine; frontend }
+      { (Workload.Scenario.default_spec topo) with frontend }
   in
   Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
   let sample = sampler s in
@@ -1823,18 +1811,12 @@ let frontend_drive ?(engine = `Sweep) ?(wave = e19_wave) ~frontend ~sampler ~n (
         done)
   in
   let fs = Rvaas.Service.frontend_stats s.service in
-  let pool_warms =
-    match Rvaas.Service.plumbing s.service with
-    | None -> 0
-    | Some pl -> (Rvaas.Plumbing.stats pl).Rvaas.Plumbing.pool_warms
-  in
   {
     d_qps = float_of_int n /. Float.max wall_dt 1e-9;
     d_p99 = percentile 0.99 !latencies;
     d_coalesce = Rvaas.Service.coalesce_rate s.service;
     d_subsume = Rvaas.Service.subsume_rate s.service;
     d_subsumed = fs.Rvaas.Frontend.subsumed;
-    d_pool_warms = pool_warms;
     d_arrivals = !arrivals;
   }
 
@@ -1851,15 +1833,12 @@ let e19_drive ~frontend ~n = frontend_drive ~frontend ~sampler:e19_sampler ~n ()
    the question mix per scenario; [frontend] the pooling under test
    (E19: coalescing + batching; E20: subsumption on top).  Returns the
    mismatch count. *)
-let parity_check ~engine ~frontend ~scopes =
+let parity_check ~frontend ~scopes =
   let topo = Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4 in
   let settle s =
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 1.0)
   in
-  let ref_s =
-    Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with engine }
-  in
+  let ref_s = Workload.Scenario.build (Workload.Scenario.default_spec topo) in
   settle ref_s;
   let pt = List.hd (Rvaas.Verifier.access_points topo) in
   let info =
@@ -1878,8 +1857,7 @@ let parity_check ~engine ~frontend ~scopes =
       (scopes ref_s)
   in
   let s =
-    Workload.Scenario.build
-      { (Workload.Scenario.default_spec topo) with engine; frontend }
+    Workload.Scenario.build { (Workload.Scenario.default_spec topo) with frontend }
   in
   settle s;
   let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
@@ -1914,11 +1892,11 @@ let parity_check ~engine ~frontend ~scopes =
     nonces;
   !mismatches
 
-let e19_parity ~engine =
+let e19_parity () =
   let ip_of (s : Workload.Scenario.t) h =
     (Option.get (Sdnctl.Addressing.host s.addressing ~host:h)).Sdnctl.Addressing.ip
   in
-  parity_check ~engine
+  parity_check
     ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.002 ())
     ~scopes:(fun s ->
       Rvaas.Verifier.ip_traffic_hs ()
@@ -1931,7 +1909,7 @@ let e19 () =
      coalescing on (identical in-flight queries fold under one computation,\n\
      per-client signed answers fanned out at finalize); baseline = the\n\
      per-query seed path.  Then token-bucket throttling (noisy tenant vs\n\
-     victim) and batched-vs-per-query differential parity under both engines";
+     victim) and batched-vs-per-query differential parity";
   let strict = Sys.getenv_opt "RVAAS_E19_STRICT" <> None in
   let failures = ref 0 in
   Printf.printf "%-10s %9s | %12s %9s %9s %9s | %8s\n" "mode" "clients"
@@ -2017,13 +1995,9 @@ let e19 () =
     incr failures;
     print_endline "E19 strict: throttling hit the wrong tenant"
   end;
-  (* Differential parity under both engines. *)
-  List.iter
-    (fun (name, engine) ->
-      let mismatches = e19_parity ~engine in
-      Printf.printf "parity (%s): %d mismatch(es)\n%!" name mismatches;
-      if mismatches > 0 then incr failures)
-    [ ("sweep", `Sweep); ("compiled", `Compiled) ];
+  let mismatches = e19_parity () in
+  Printf.printf "parity: %d mismatch(es)\n%!" mismatches;
+  if mismatches > 0 then incr failures;
   if strict then
     if !failures > 0 then begin
       Printf.printf "E19 strict: %d failing check(s)\n" !failures;
@@ -2034,7 +2008,7 @@ let e19 () =
         "E19 strict: fan-in, latency, throttling and parity checks passed"
 
 (* ---------------------------------------------------------------- *)
-(* E20: semantic subsumption + cross-source pooling                  *)
+(* E20: semantic subsumption                                         *)
 (* ---------------------------------------------------------------- *)
 
 (* The scope-width mix, Zipf(1) over three width classes (broad the
@@ -2106,14 +2080,14 @@ let e20_sampler (s : Workload.Scenario.t) =
     in
     (pt, scope, i.Sdnctl.Addressing.ip)
 
-let e20_drive ~engine ~frontend ~n =
-  frontend_drive ~engine ~wave:20_000 ~frontend ~sampler:e20_sampler ~n ()
+let e20_drive ~frontend ~n =
+  frontend_drive ~wave:20_000 ~frontend ~sampler:e20_sampler ~n ()
 
 (* Sliced-vs-per-query parity: broad, mid and narrow scopes sent back
    to back by one agent under subsumption must each report exactly the
    endpoints per-query evaluation reports. *)
-let e20_parity ~engine =
-  parity_check ~engine
+let e20_parity () =
+  parity_check
     ~frontend:(Rvaas.Frontend.coalescing ~batch_window:0.002 ~subsume:true ())
     ~scopes:(fun s ->
       let w = Hspace.Field.total_width in
@@ -2135,76 +2109,54 @@ let e20_parity ~engine =
 
 let e20 () =
   section
-    "E20: semantic subsumption + cross-source pooling — 100k logical clients,\n\
-     Zipf scope-width mix (broad tenant-wide / mid subnet+port-slice / narrow\n\
-     per-destination) on fat-tree-k6.  coalesce = PR 7's identical-only\n\
-     coalescing: every distinct variant opens its own computation.  subsume =\n\
-     the waiters-on-computation graph: a contained scope rides the broad\n\
+    "E20: semantic subsumption — 100k logical clients, Zipf scope-width mix\n\
+     (broad tenant-wide / mid subnet+port-slice / narrow per-destination) on\n\
+     fat-tree-k6.  coalesce = identical-only coalescing: every distinct\n\
+     variant opens its own computation.  subsume = the\n\
+     waiters-on-computation graph: a contained scope rides the broad\n\
      computation as a slice and is answered by arrival-space intersection at\n\
-     the shared finalize; under the compiled engine each flush seeds one\n\
-     Plumbing.warm across the points it spans.  Then sliced-vs-\n\
-     per-query differential parity under both engines";
+     the shared finalize.  Then sliced-vs-per-query differential parity";
   let strict = Sys.getenv_opt "RVAAS_E20_STRICT" <> None in
   let failures = ref 0 in
-  Printf.printf "%-10s %-9s %8s | %12s %9s %9s %9s %6s | %8s\n" "mode" "engine"
-    "clients" "queries/s" "p99 (ms)" "coalesce" "subsume" "warms" "answers";
-  let run mode (engine_name, engine) frontend n =
-    let r = e20_drive ~engine ~frontend ~n in
-    Printf.printf "%-10s %-9s %8d | %12.0f %9.2f %8.1f%% %8.1f%% %6d | %8d%s\n%!"
-      mode engine_name n r.d_qps (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce)
-      (100.0 *. r.d_subsume) r.d_pool_warms r.d_arrivals
+  Printf.printf "%-10s %8s | %12s %9s %9s %9s | %8s\n" "mode" "clients" "queries/s"
+    "p99 (ms)" "coalesce" "subsume" "answers";
+  let run mode frontend n =
+    let r = e20_drive ~frontend ~n in
+    Printf.printf "%-10s %8d | %12.0f %9.2f %8.1f%% %8.1f%% | %8d%s\n%!" mode n r.d_qps
+      (1000.0 *. r.d_p99) (100.0 *. r.d_coalesce) (100.0 *. r.d_subsume) r.d_arrivals
       (if r.d_arrivals = n then "" else " MISSING");
     if r.d_arrivals <> n then incr failures;
     r
   in
   let coalesce_only = Rvaas.Frontend.coalescing ~batch_window:0.005 () in
   let subsume = Rvaas.Frontend.coalescing ~batch_window:0.005 ~subsume:true () in
-  let sweep = ("sweep", `Sweep) and compiled = ("compiled", `Compiled) in
   let n = 100_000 in
-  ignore (run "coalesce" sweep coalesce_only 10_000);
-  ignore (run "subsume" sweep subsume 10_000);
-  let base_sweep = run "coalesce" sweep coalesce_only n in
-  let sub_sweep = run "subsume" sweep subsume n in
-  let base_comp = run "coalesce" compiled coalesce_only n in
-  let sub_comp = run "subsume" compiled subsume n in
-  if strict && sub_sweep.d_qps < 2.0 *. base_sweep.d_qps then begin
+  ignore (run "coalesce" coalesce_only 10_000);
+  ignore (run "subsume" subsume 10_000);
+  let base = run "coalesce" coalesce_only n in
+  let sub = run "subsume" subsume n in
+  if strict && sub.d_qps < 2.0 *. base.d_qps then begin
     incr failures;
-    Printf.printf "E20 strict: %.0f q/s < 2x the %.0f q/s coalesce-only (sweep)\n"
-      sub_sweep.d_qps base_sweep.d_qps
+    Printf.printf "E20 strict: %.0f q/s < 2x the %.0f q/s coalesce-only\n" sub.d_qps
+      base.d_qps
   end;
-  if strict && sub_comp.d_qps < 1.5 *. base_comp.d_qps then begin
-    incr failures;
-    Printf.printf
-      "E20 strict: %.0f q/s < 1.5x the %.0f q/s coalesce-only (compiled)\n"
-      sub_comp.d_qps base_comp.d_qps
-  end;
-  if strict && (sub_sweep.d_subsume <= 0.0 || sub_comp.d_subsume <= 0.0) then begin
+  if strict && sub.d_subsume <= 0.0 then begin
     incr failures;
     print_endline "E20 strict: subsume mode never subsumed a query"
   end;
-  if strict && (base_sweep.d_subsumed <> 0 || base_comp.d_subsumed <> 0) then begin
+  if strict && base.d_subsumed <> 0 then begin
     incr failures;
-    print_endline
-      "E20 strict: coalesce-only config entered the subsumption graph"
+    print_endline "E20 strict: coalesce-only config entered the subsumption graph"
   end;
-  if strict && sub_comp.d_pool_warms = 0 then begin
-    incr failures;
-    print_endline "E20 strict: no per-flush warm was seeded under the compiled engine"
-  end;
-  List.iter
-    (fun (name, engine) ->
-      let mismatches = e20_parity ~engine in
-      Printf.printf "parity (%s): %d mismatch(es)\n%!" name mismatches;
-      if mismatches > 0 then incr failures)
-    [ sweep; compiled ];
+  let mismatches = e20_parity () in
+  Printf.printf "parity: %d mismatch(es)\n%!" mismatches;
+  if mismatches > 0 then incr failures;
   if strict then
     if !failures > 0 then begin
       Printf.printf "E20 strict: %d failing check(s)\n" !failures;
       exit 1
     end
-    else
-      print_endline
-        "E20 strict: speedup, subsumption, pooling and parity checks passed"
+    else print_endline "E20 strict: speedup, subsumption and parity checks passed"
 
 (* ---------------------------------------------------------------- *)
 (* E21: replicated segmented journal — sealed segments, lag-tolerant *)
@@ -2591,9 +2543,9 @@ let e22 () =
        "E22: internet-scale soak — multi-domain world (leaf-spine DC +\n\
         scale-free backbone), every attachment point a /16 range gateway\n\
         carried as one Hs cube, %.0f s simulated churn campaign (rolling\n\
-        upgrades, link flaps, transient attacks, query storms) on the\n\
-        compiled engine behind a coalescing front-end; sweep-vs-compiled\n\
-        verdict parity sampled throughout%s"
+        upgrades, link flaps, transient attacks, query storms) behind a\n\
+        coalescing front-end; served-vs-fresh-sweep verdict parity sampled\n\
+        throughout%s"
        duration
        (if smoke then " [smoke]" else ""));
   let params =
@@ -2618,7 +2570,6 @@ let e22 () =
             clients;
             seed = 22;
             polling = Rvaas.Monitor.Periodic 60.0;
-            engine = `Compiled;
             frontend = Rvaas.Frontend.coalescing ~batch_window:0.002 ();
             range_hosts = 0x10000;
           })
@@ -2680,10 +2631,10 @@ let e22 () =
           Workload.Scenario.run s
             ~until:(start +. (float_of_int k *. (duration /. float_of_int samples))))
     in
-    (* Parity sample: the compiled engine's verdict vs a sweep of the
-       same believed view — one range-scoped query (a /16 carried as a
-       single cube) and one broad ip-traffic query, from two rotating
-       access points. *)
+    (* Parity sample: the service's cache-first verdict vs a fresh
+       sweep of the same believed view — one range-scoped query (a /16
+       carried as a single cube) and one broad ip-traffic query, from
+       two rotating access points. *)
     let snapshot = Rvaas.Monitor.snapshot (Workload.Scenario.monitor s) in
     let flows_of sw = Rvaas.Snapshot.flows snapshot ~sw in
     let scope_gw = gateways.(k * 13 mod Array.length gateways) in
@@ -2732,10 +2683,6 @@ let e22 () =
   Workload.Scenario.run s ~until:(now () +. 15.0);
   let total_wall = now_s () -. wall0 in
   let executed = Netsim.Sim.executed sim - executed0 in
-  let plumbing_stats =
-    Option.map Rvaas.Plumbing.stats
-      (Rvaas.Service.plumbing (Workload.Scenario.service s))
-  in
   Printf.printf
     "soak: %.0f s simulated in %.1f s wall — %.0f events/s sustained, peak \
      RSS %.1f MB\n\
@@ -2752,14 +2699,6 @@ let e22 () =
     report.Workload.Churn.storm_answers report.Workload.Churn.storm_throttled
     (!parity_checks - !parity_mismatches)
     !parity_checks;
-  (match plumbing_stats with
-  | Some st ->
-    Printf.printf
-      "plumbing: %d incremental updates, %d recompiles, %d scoped lookups, \
-       %d fallback sweeps\n"
-      st.Rvaas.Plumbing.updates st.Rvaas.Plumbing.recompiles
-      st.Rvaas.Plumbing.scoped_lookups st.Rvaas.Plumbing.fallback_sweeps
-  | None -> ());
   if strict then begin
     let failures = ref 0 in
     let fail msg =
@@ -2768,8 +2707,7 @@ let e22 () =
     in
     if !parity_mismatches > 0 then
       fail
-        (Printf.sprintf "%d sweep-vs-compiled parity mismatch(es)"
-           !parity_mismatches);
+        (Printf.sprintf "%d served-vs-sweep parity mismatch(es)" !parity_mismatches);
     if Workload.Topogen.switch_count topo < 1000 then
       fail "world below 1000 switches";
     if Workload.Scenario.address_count s < 2_000_000 then
@@ -2804,6 +2742,8 @@ let micro () =
   let w = Hspace.Field.total_width in
   let cube_a = Hspace.Tern.random rng w ~fixed_prob:0.3 in
   let cube_b = Hspace.Tern.random rng w ~fixed_prob:0.3 in
+  (* A scope cube as the request codec carries it. *)
+  let cube_text = Hspace.Tern.to_string cube_a in
   let hs_a =
     Hspace.Hs.of_cubes w (List.init 8 (fun _ -> Hspace.Tern.random rng w ~fixed_prob:0.3))
   in
@@ -2894,6 +2834,7 @@ let micro () =
     [
       ("tern_inter", fun () -> ignore (Hspace.Tern.inter cube_a cube_b));
       ("tern_diff", fun () -> ignore (Hspace.Tern.diff cube_a cube_b));
+      ("tern_of_string", fun () -> ignore (Hspace.Tern.of_string cube_text));
       ("hs_inter", fun () -> ignore (Hspace.Hs.inter hs_a hs_b));
       ("hs_diff", fun () -> ignore (Hspace.Hs.diff hs_a hs_b));
       ( "flow_lookup_100",

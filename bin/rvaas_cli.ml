@@ -61,18 +61,6 @@ let loss_arg =
     value & opt float 0.0
     & info [ "loss" ] ~docv:"P" ~doc:"Monitor-event loss probability on the RVaaS channel.")
 
-let engine_conv : Rvaas.Plumbing.engine Arg.conv =
-  Arg.enum [ ("sweep", `Sweep); ("compiled", `Compiled) ]
-
-let engine_arg =
-  Arg.(
-    value & opt engine_conv `Sweep
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Verification engine: $(b,sweep) runs a cache-first header-space \
-           sweep per query; $(b,compiled) answers from the incrementally \
-           maintained plumbing graph.")
-
 let coalesce_arg =
   Arg.(
     value & flag
@@ -165,7 +153,7 @@ let make_polling mode period =
   | `Periodic -> Rvaas.Monitor.Periodic period
   | `Random -> Rvaas.Monitor.Randomized period
 
-let build kind size clients seed polling period loss engine frontend =
+let build kind size clients seed polling period loss frontend =
   let topo = make_topo kind size in
   Workload.Scenario.build
     {
@@ -174,7 +162,6 @@ let build kind size clients seed polling period loss engine frontend =
       seed;
       polling = make_polling polling period;
       rvaas_loss = loss;
-      engine;
       frontend;
     }
 
@@ -232,8 +219,7 @@ let run_query s ~host query =
     Format.printf "%a@." Rvaas.Query.pp_answer outcome.Rvaas.Client_agent.answer;
     Printf.printf "round-trip: %.3f ms\n"
       (1000.0 *. (outcome.answered_at -. outcome.issued_at));
-    let info = Option.get (Sdnctl.Addressing.host s.addressing ~host) in
-    let policy = Workload.Scenario.policy_for s ~client:info.client in
+    let policy = Workload.Scenario.policy_for s ~host in
     (match Rvaas.Detector.check_answer policy outcome.Rvaas.Client_agent.answer with
     | [] ->
       print_endline "policy check: clean";
@@ -243,15 +229,15 @@ let run_query s ~host query =
       2)
 
 let query_cmd =
-  let run kind size clients seed polling period loss engine frontend host qkind =
-    let s = build kind size clients seed polling period loss engine frontend in
+  let run kind size clients seed polling period loss frontend host qkind =
+    let s = build kind size clients seed polling period loss frontend in
     run_query s ~host (to_query qkind)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run one client query against a fresh deployment.")
     Term.(
       const run $ topo_arg $ size_arg $ clients_arg $ seed_arg $ polling_arg
-      $ poll_period_arg $ loss_arg $ engine_arg $ frontend_term $ host_arg $ kind_arg)
+      $ poll_period_arg $ loss_arg $ frontend_term $ host_arg $ kind_arg)
 
 (* ---- attack subcommand ---- *)
 
@@ -270,8 +256,8 @@ let attack_arg =
     value & opt attack_conv `Join & info [ "attack" ] ~docv:"ATTACK" ~doc:"Attack to launch.")
 
 let attack_cmd =
-  let run kind size clients seed polling period loss engine frontend host qkind attack =
-    let s = build kind size clients seed polling period loss engine frontend in
+  let run kind size clients seed polling period loss frontend host qkind attack =
+    let s = build kind size clients seed polling period loss frontend in
     let now () = Netsim.Sim.now (Netsim.Net.sim s.net) in
     let attack_value =
       match attack with
@@ -299,13 +285,13 @@ let attack_cmd =
        ~doc:"Launch an attack through the compromised provider, then query.")
     Term.(
       const run $ topo_arg $ size_arg $ clients_arg $ seed_arg $ polling_arg
-      $ poll_period_arg $ loss_arg $ engine_arg $ frontend_term $ host_arg $ kind_arg $ attack_arg)
+      $ poll_period_arg $ loss_arg $ frontend_term $ host_arg $ kind_arg $ attack_arg)
 
 (* ---- monitor subcommand ---- *)
 
 let monitor_cmd =
-  let run kind size clients seed polling period loss engine frontend =
-    let s = build kind size clients seed polling period loss engine frontend in
+  let run kind size clients seed polling period loss frontend =
+    let s = build kind size clients seed polling period loss frontend in
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 1.0) ;
     let snapshot = Rvaas.Monitor.snapshot s.monitor in
     Printf.printf "switches monitored: %d\n" (List.length (Rvaas.Snapshot.switches snapshot));
@@ -325,13 +311,13 @@ let monitor_cmd =
     (Cmd.info "monitor" ~doc:"Report configuration-monitoring statistics after 1 s.")
     Term.(
       const run $ topo_arg $ size_arg $ clients_arg $ seed_arg $ polling_arg
-      $ poll_period_arg $ loss_arg $ engine_arg $ frontend_term)
+      $ poll_period_arg $ loss_arg $ frontend_term)
 
 (* ---- wiring subcommand ---- *)
 
 let wiring_cmd =
-  let run kind size clients seed polling period loss engine frontend =
-    let s = build kind size clients seed polling period loss engine frontend in
+  let run kind size clients seed polling period loss frontend =
+    let s = build kind size clients seed polling period loss frontend in
     let report = ref None in
     Rvaas.Monitor.verify_wiring s.monitor ~timeout:0.5 ~on_complete:(fun r ->
         report := Some r);
@@ -357,13 +343,13 @@ let wiring_cmd =
     (Cmd.info "wiring" ~doc:"Verify the physical wiring with LLDP-like probes.")
     Term.(
       const run $ topo_arg $ size_arg $ clients_arg $ seed_arg $ polling_arg
-      $ poll_period_arg $ loss_arg $ engine_arg $ frontend_term)
+      $ poll_period_arg $ loss_arg $ frontend_term)
 
 (* ---- traceback subcommand ---- *)
 
 let traceback_cmd =
-  let run kind size clients seed polling period loss engine frontend attack =
-    let s = build kind size clients seed polling period loss engine frontend in
+  let run kind size clients seed polling period loss frontend attack =
+    let s = build kind size clients seed polling period loss frontend in
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
     let snapshot = Rvaas.Monitor.snapshot s.monitor in
     let baseline_flows =
@@ -415,7 +401,7 @@ let traceback_cmd =
        ~doc:"Launch an attack, then trace its ingress points from the history.")
     Term.(
       const run $ topo_arg $ size_arg $ clients_arg $ seed_arg $ polling_arg
-      $ poll_period_arg $ loss_arg $ engine_arg $ frontend_term $ attack_arg)
+      $ poll_period_arg $ loss_arg $ frontend_term $ attack_arg)
 
 (* ---- failover subcommand ---- *)
 

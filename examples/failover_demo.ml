@@ -109,7 +109,7 @@ let () =
       (1000.0 *. outcome.Rvaas.Client_agent.answered_at)
       (1000.0 *. (outcome.Rvaas.Client_agent.answered_at -. outcome.issued_at));
     let answer = outcome.Rvaas.Client_agent.answer in
-    let policy = Workload.Scenario.policy_for s ~client:0 in
+    let policy = Workload.Scenario.policy_for s ~host:0 in
     (match Rvaas.Detector.check_answer policy answer with
     | [] -> print_endline "\nno alarms — unexpected: the join attack should be visible"
     | alarms ->

@@ -40,7 +40,7 @@ let () =
 
   let policy =
     {
-      (Workload.Scenario.policy_for scenario ~client:0) with
+      (Workload.Scenario.policy_for scenario ~host:0) with
       Rvaas.Detector.forbidden_jurisdictions = [ "RU" ];
     }
   in

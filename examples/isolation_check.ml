@@ -33,7 +33,7 @@ let show_isolation scenario ~host ~label =
           | None -> " (did not authenticate)")
           (match e.ip with Some ip -> Printf.sprintf " ip=0x%08x" ip | None -> ""))
       answer.endpoints;
-    let policy = Workload.Scenario.policy_for scenario ~client:0 in
+    let policy = Workload.Scenario.policy_for scenario ~host in
     (match Rvaas.Detector.check_answer policy answer with
     | [] -> print_endline "  verdict: isolation intact"
     | alarms ->

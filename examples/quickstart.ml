@@ -42,7 +42,7 @@ let () =
       (1000.0 *. (outcome.answered_at -. outcome.issued_at));
 
     (* 4. Check the answer against the client's policy. *)
-    let policy = Workload.Scenario.policy_for scenario ~client:0 in
+    let policy = Workload.Scenario.policy_for scenario ~host:0 in
     (match Rvaas.Detector.check_answer policy answer with
     | [] -> print_endline "policy check: clean (no unexpected access points)"
     | alarms ->

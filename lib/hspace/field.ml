@@ -61,14 +61,6 @@ let prefix_mask f prefix_len =
 let set_prefix t f ~value ~prefix_len =
   set_masked t f ~value ~mask:(prefix_mask f prefix_len)
 
-let clear t f =
-  let base = offset f and w = bit_width f in
-  let t = ref t in
-  for i = 0 to w - 1 do
-    t := Tern.set !t (base + i) Tern.Any
-  done;
-  !t
-
 let get_exact t f =
   let base = offset f and w = bit_width f in
   let rec go i acc =

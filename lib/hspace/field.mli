@@ -44,9 +44,6 @@ val set_masked : Tern.t -> name -> value:int -> mask:int -> Tern.t
     most significant bits of [f] — the CIDR-style prefix match. *)
 val set_prefix : Tern.t -> name -> value:int -> prefix_len:int -> Tern.t
 
-(** [clear t f] sets all bits of [f] to [*] (used before a rewrite). *)
-val clear : Tern.t -> name -> Tern.t
-
 (** [get_exact t f] returns the concrete value of [f] when all its bits
     are 0/1, otherwise [None]. *)
 val get_exact : Tern.t -> name -> int option

@@ -319,9 +319,9 @@ let random_concrete rng w =
   done;
   !t
 
+(* One array, filled in place: [set] would copy it once per character. *)
 let of_string s =
-  let w = String.length s in
-  let t = ref (all_x w) in
+  let t = all_x (String.length s) in
   String.iteri
     (fun i c ->
       let b =
@@ -332,9 +332,10 @@ let of_string s =
         | 'z' | 'Z' -> Empty
         | _ -> invalid_arg "Tern.of_string: bad character"
       in
-      t := set !t i b)
+      let k = i / bits_per_word and pos = 2 * (i mod bits_per_word) in
+      t.words.(k) <- (t.words.(k) land lnot (3 lsl pos)) lor (encode b lsl pos))
     s;
-  !t
+  t
 
 let to_string t =
   String.init t.width (fun i ->

@@ -18,17 +18,13 @@
 
 let width = Hspace.Field.total_width
 
-type engine = [ `Sweep | `Compiled ]
-
 type stats = {
   mutable source_compiles : int;
-  mutable lookups : int;
   mutable scoped_lookups : int;
   mutable fallback_sweeps : int;
   mutable updates : int;
   mutable stale_sources : int;
   mutable recompiles : int;
-  mutable pool_warms : int;
 }
 
 (* A memoised source: the full-space propagation from one injection
@@ -160,21 +156,17 @@ let restrict s hs =
     rule_visits = 0;  (* a lookup visits no rules — that is the point *)
   }
 
-(* ---- the engine interface ---- *)
+(* ---- the memo interface ---- *)
 
 let reach t ~src_sw ~src_port ~hs =
   let s = source t ~src_sw ~src_port in
-  if is_full_scope hs then begin
-    t.stats.lookups <- t.stats.lookups + 1;
-    s.s_result
-  end
+  if is_full_scope hs then s.s_result
   else if s.s_rewrote then begin
     (* Rewrites make restriction inexact; traverse the scope itself. *)
     t.stats.fallback_sweeps <- t.stats.fallback_sweeps + 1;
     Verifier.reach_in t.ctx ~src_sw ~src_port ~hs
   end
   else begin
-    t.stats.lookups <- t.stats.lookups + 1;
     t.stats.scoped_lookups <- t.stats.scoped_lookups + 1;
     restrict s hs
   end
@@ -185,26 +177,22 @@ let update t ~sw =
   Hashtbl.replace t.versions sw t.global_version;
   Verifier.invalidate_switch t.ctx ~sw
 
-let create ctx =
+let compile ~flows_of topo =
   {
-    ctx;
+    ctx = Verifier.context ~flows_of topo;
     versions = Hashtbl.create 16;
     global_version = 0;
     sources = Hashtbl.create 16;
     stats =
       {
         source_compiles = 0;
-        lookups = 0;
         scoped_lookups = 0;
         fallback_sweeps = 0;
         updates = 0;
         stale_sources = 0;
         recompiles = 0;
-        pool_warms = 0;
       };
   }
-
-let compile ~flows_of topo = create (Verifier.context ~flows_of topo)
 
 let warm t ~points =
   let todo =
@@ -215,7 +203,6 @@ let warm t ~points =
         | None -> true)
       (List.sort_uniq compare points)
   in
-  if todo <> [] then t.stats.pool_warms <- t.stats.pool_warms + 1;
   List.iter
     (fun (sw, port) ->
       t.stats.source_compiles <- t.stats.source_compiles + 1;

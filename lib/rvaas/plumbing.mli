@@ -1,14 +1,18 @@
-(** Compiled plumbing engine: a memo of full-space reachability per
-    source over {!Verifier.trace_in} (paper §IV-A.2's scale-up
-    lineage).
+(** Plumbing memo: full-space reachability per source over
+    {!Verifier.trace_in} (paper §IV-A.2's scale-up lineage).
 
     {!Verifier.reach_in} pays a traversal per query; the delta-aware
-    {!Reach_cache} only amortises {e repeated} queries.  This engine
+    {!Reach_cache} only amortises {e repeated} queries.  This memo
     traverses the full header space once per queried source and keeps
     the arrival sets, so steady-state queries are answered by
     intersecting them with the query scope: no traversal.  Guards and
-    the traversal belong to the {!Verifier.ctx} the memo runs over;
-    inside the service that is the service's own context.
+    the traversal belong to the {!Verifier.ctx} the memo builds at
+    {!compile}.
+
+    It is not on the serving path: {!Service} answers every question
+    cache-first with {!Verifier.reach_in}.  The memo is measured
+    against that sweep (experiment E18) and replayed per layer by the
+    benchmark.
 
     Scoped lookups are {e exact} when the source's pass applied no
     field rewrite (propagation is per-concrete-header and the BFS is
@@ -22,18 +26,14 @@
     revalidate lazily against the versions of the switches their pass
     traversed. *)
 
-(** The verification engine selector threaded through {!Service},
-    [Scenario.spec] and the CLI. *)
-type engine = [ `Sweep | `Compiled ]
-
 type t
 
 type stats = {
   mutable source_compiles : int;
       (** full-space traversals run (first uses and stale
           re-derivations) *)
-  mutable lookups : int;  (** queries answered from a memoised source *)
-  mutable scoped_lookups : int;  (** of which: restricted by intersection *)
+  mutable scoped_lookups : int;
+      (** scoped queries answered by intersecting a memoised source *)
   mutable fallback_sweeps : int;
       (** scoped queries on rewriting sources, answered by traversing
           the scope itself *)
@@ -44,17 +44,11 @@ type stats = {
   mutable recompiles : int;
       (** always 0: maintenance is per switch and never recompiles;
           kept for the benchmark's per-layer report *)
-  mutable pool_warms : int;
-      (** {!warm} invocations that found >= 1 cold or stale source —
-          the cross-source warm the front-end seeds per flush *)
 }
 
-(** [create ctx] is an empty memo over [ctx]: sources are traversed
-    on first use. *)
-val create : Verifier.ctx -> t
-
-(** [compile ~flows_of topo] is [create] over a fresh context; it
-    derives nothing up front. *)
+(** [compile ~flows_of topo] is an empty memo over a fresh context:
+    nothing is derived up front, and sources are traversed on first
+    use. *)
 val compile :
   flows_of:(int -> Ofproto.Flow_entry.spec list) -> Netsim.Topology.t -> t
 
@@ -76,8 +70,7 @@ val update : t -> sw:int -> unit
 (** [warm t ~points] traverses (or refreshes) the sources for the
     given [(switch, port)] injection points — typically every access
     point, or the injection points of one front-end flush — so later
-    queries are pure lookups.  Counted in [stats.pool_warms] when at
-    least one source needed compiling. *)
+    queries are pure lookups. *)
 val warm : t -> points:(int * int) list -> unit
 
 val stats : t -> stats

@@ -116,13 +116,10 @@ type t = {
   ctx : Verifier.ctx;
       (* the one incremental verification context: guards cached
          across queries, invalidated per switch when the monitored
-         snapshot changes, whichever engine serves *)
+         snapshot changes *)
   cache : Reach_cache.t;
       (* reach results keyed by (src, scope); the snapshot-change hook
          evicts only entries that traversed the changed switch *)
-  plumbing : Plumbing.t option;
-      (* the compiled engine, present iff [engine = `Compiled]: a
-         memo over [ctx] that turns reach questions into lookups *)
   intercepts_sent : (int, (Ofproto.Flow_entry.spec * float) list) Hashtbl.t;
       (* per switch: intercept installs in flight (sent, not yet in
          the believed table) with their send times *)
@@ -146,22 +143,14 @@ let topo t = Netsim.Net.topology t.net
 
 let reach_cache t = t.cache
 
-let plumbing t = t.plumbing
-
-let engine t : Plumbing.engine =
-  match t.plumbing with Some _ -> `Compiled | None -> `Sweep
-
 let reach t ~src_sw ~src_port ~hs =
-  match t.plumbing with
-  | Some p -> Plumbing.reach p ~src_sw ~src_port ~hs
-  | None -> (
-    let key = Reach_cache.key ~src_sw ~src_port ~hs in
-    match Reach_cache.find t.cache key with
-    | Some r -> r
-    | None ->
-      let r = Verifier.reach_in t.ctx ~src_sw ~src_port ~hs in
-      Reach_cache.add t.cache key r;
-      r)
+  let key = Reach_cache.key ~src_sw ~src_port ~hs in
+  match Reach_cache.find t.cache key with
+  | Some r -> r
+  | None ->
+    let r = Verifier.reach_in t.ctx ~src_sw ~src_port ~hs in
+    Reach_cache.add t.cache key r;
+    r
 
 (* Restrict a client scope to IP traffic; queries never see non-IP
    control frames. *)
@@ -247,10 +236,9 @@ let evaluate t ~client ~sw ~port (query : Query.t) =
         points
     in
     (* One forward reachability pass per candidate access point — the
-       system's hot path, answered by [reach] (cache-first under the
-       sweep engine, a graph lookup under the compiled one).  A point
-       is a source when its traffic can arrive at any of the client's
-       own points. *)
+       system's hot path, answered cache-first by [reach].  A point is
+       a source when its traffic can arrive at any of the client's own
+       points. *)
     let sources =
       List.filter
         (fun (src : Verifier.endpoint) ->
@@ -713,30 +701,12 @@ let open_batch t (es : requester Frontend.entry list) =
 let flush_frontend t =
   if t.live then begin
     Hashtbl.reset t.queued_nonces;
-    let groups = Frontend.flush t.frontend in
-    (* Cross-source warm: one warm over every injection point this
-       flush evaluates, so each cold compiled source derives once,
-       before any group opens, instead of on its group's first
-       lookup. *)
-    (match t.plumbing with
-    | Some plumbing ->
-      let points =
-        List.sort_uniq compare
-          (List.concat_map
-             (List.filter_map (fun (e : requester Frontend.entry) ->
-                  match e.e_query.Query.kind with
-                  | Query.Reachable_endpoints -> Some (e.e_sw, e.e_port)
-                  | _ -> None))
-             groups)
-      in
-      if List.length points > 1 then Plumbing.warm plumbing ~points
-    | None -> ());
     List.iter
       (function
         | [] -> ()
         | [ e ] -> open_entry t e
         | es -> open_batch t es)
-      groups
+      (Frontend.flush t.frontend)
   end
 
 (* Join an in-flight computation: the new requester rides the probes
@@ -975,9 +945,8 @@ let repair_intercepts t ~sw (what : Monitor.observation) =
   if in_flight = [] then Hashtbl.remove t.intercepts_sent sw
   else Hashtbl.replace t.intercepts_sent sw in_flight
 
-let create ?(retry = no_retry) ?(engine : Plumbing.engine = `Sweep)
-    ?(frontend = Frontend.default_config) net monitor ~directory ~geo ~keypair
-    ~auth_timeout () =
+let create ?(retry = no_retry) ?(frontend = Frontend.default_config) net monitor
+    ~directory ~geo ~keypair ~auth_timeout () =
   if retry.attempts < 1 then invalid_arg "Service.create: retry.attempts must be >= 1";
   if retry.base_delay < 0.0 then invalid_arg "Service.create: negative retry.base_delay";
   let ctx =
@@ -1021,8 +990,6 @@ let create ?(retry = no_retry) ?(engine : Plumbing.engine = `Sweep)
       ctx;
       cache = Reach_cache.create ();
       intercepts_sent = Hashtbl.create 64;
-      plumbing =
-        (match engine with `Sweep -> None | `Compiled -> Some (Plumbing.create ctx));
     }
   in
   Monitor.on_observation monitor (fun ~sw what ~changed ->
@@ -1030,12 +997,7 @@ let create ?(retry = no_retry) ?(engine : Plumbing.engine = `Sweep)
         (* Delta invalidation: only entries whose reach pass traversed
            [sw] can be stale; everything else survives the Flow-Mod. *)
         Reach_cache.invalidate_switch t.cache ~sw;
-        (* [sw]'s guards leave the one context; the compiled memo also
-           bumps [sw]'s version, so only sources that traversed it
-           re-derive. *)
-        match t.plumbing with
-        | Some plumbing -> Plumbing.update plumbing ~sw
-        | None -> Verifier.invalidate_switch t.ctx ~sw
+        Verifier.invalidate_switch t.ctx ~sw
       end;
       (* Intercept repair runs on every observation, changed or not:
          it is poll-driven and must converge even when the repair

@@ -73,14 +73,11 @@ type t
     requests; when the reply quorum is still incomplete at finalize
     the answer carries [degraded = true].
 
-    [engine] (default [`Sweep]) selects the verification engine:
-    [`Sweep] answers each reach question with a cache-first
-    {!Verifier.reach_in} pass on the service's own context, whose
-    rule guards stay warm across queries, through a {!Reach_cache} of
-    4096 results; [`Compiled] compiles the monitored view into a
-    {!Plumbing} graph maintained incrementally by the snapshot-change
-    hook, answering steady-state questions by lookup (the reach cache
-    is bypassed).  Every reach pass runs in the calling domain.
+    Every reach question is answered cache-first: a {!Reach_cache}
+    of 4096 results, then a {!Verifier.reach_in} pass on the
+    service's own context, whose rule guards stay warm across queries
+    and are invalidated per switch by the snapshot-change hook.  Every
+    reach pass runs in the calling domain.
 
     [frontend] (default {!Frontend.default_config}: admit everything,
     no coalescing, no settle tick — the historical behaviour) puts the
@@ -93,17 +90,13 @@ type t
     is contained in a queued or in-flight computation at the same
     injection point rides it as a slice, its answer cut out of the
     subsumer's arrival spaces at the shared finalize (rewrite-tainted
-    regions fall back to per-query evaluation).  Under [`Compiled],
-    each flush with more than one injection point first seeds one
-    {!Plumbing.warm} over all of them, so every cold source compiles
-    once before any group opens.  Recovery re-issues ({!reissue})
-    bypass it.  Works under both engines.
+    regions fall back to per-query evaluation).  Recovery re-issues
+    ({!reissue}) bypass it.
     @raise Invalid_argument on a retry policy with [attempts < 1], a
     negative [base_delay], or an invalid front-end config (see
     {!Frontend.create}). *)
 val create :
   ?retry:retry ->
-  ?engine:Plumbing.engine ->
   ?frontend:Frontend.config ->
   Netsim.Net.t ->
   Monitor.t ->
@@ -121,14 +114,6 @@ val create :
     pass traversed [s] are evicted (see {!Reach_cache}); results that
     never consulted [s]'s table remain valid by construction. *)
 val reach_cache : t -> Reach_cache.t
-
-(** [engine t] is the verification engine selected at {!create}. *)
-val engine : t -> Plumbing.engine
-
-(** [plumbing t] exposes the compiled plumbing graph when the service
-    runs with [engine:`Compiled] — its statistics are the subject of
-    experiment E18; [None] under [`Sweep]. *)
-val plumbing : t -> Plumbing.t option
 
 (** [reach t ~src_sw ~src_port ~hs] runs one cache-first reach pass on
     the service's verification context — the building block of every

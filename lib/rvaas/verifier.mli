@@ -58,8 +58,8 @@ type guarded = {
     overlapping it), and each ingress port's guards are filtered from
     that derivation on the port's first visit; ports where the same
     rules apply share guard records.  {!invalidate_switch} keeps a
-    long-lived context current; the compiled engine ({!Plumbing})
-    memoises over one. *)
+    long-lived context current, such as the one {!Service} answers
+    from; the {!Plumbing} memo runs over one too. *)
 type ctx
 
 (** [context ~flows_of topo] builds a context (guards are derived

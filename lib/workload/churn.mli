@@ -5,8 +5,8 @@
     and flash-crowd query storms — planned up front ({!plan}) as a pure
     function of (world, profile, seed) and executed on the scenario's
     {!Netsim.Sim} event loop.  The soak bench (E22) drives hours of
-    simulated time through these programs; the differential churn tests
-    replay the same program under both verification engines. *)
+    simulated time through these programs; the differential churn test
+    replays one against the independent reachability oracles. *)
 
 type event =
   | Upgrade of { sw : int; outage : float }

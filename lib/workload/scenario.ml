@@ -27,7 +27,6 @@ type spec = {
   jurisdictions : string list;
   ha : Rvaas.Failover.config option;
   persist : persist option;
-  engine : Rvaas.Plumbing.engine;
   frontend : Rvaas.Frontend.config;
   range_hosts : int;
 }
@@ -52,7 +51,6 @@ let default_spec topo =
     jurisdictions = [ "EU"; "US"; "CH" ];
     ha = None;
     persist = None;
-    engine = `Sweep;
     frontend = Rvaas.Frontend.default_config;
     range_hosts = 0;
   }
@@ -143,9 +141,8 @@ let build spec =
         ?conn ~polling:spec.polling ()
     in
     let service =
-      Rvaas.Service.create ~retry:spec.auth_retry ~engine:spec.engine
-        ~frontend:spec.frontend net monitor ~directory ~geo:geo_truth
-        ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
+      Rvaas.Service.create ~retry:spec.auth_retry ~frontend:spec.frontend net monitor
+        ~directory ~geo:geo_truth ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
     in
     (monitor, service)
   in
@@ -157,9 +154,8 @@ let build spec =
           ~faults:spec.rvaas_faults ?poll_retry:spec.poll_retry ~polling:spec.polling ()
       in
       let service =
-        Rvaas.Service.create ~retry:spec.auth_retry ~engine:spec.engine
-          ~frontend:spec.frontend net monitor ~directory ~geo:geo_truth
-          ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
+        Rvaas.Service.create ~retry:spec.auth_retry ~frontend:spec.frontend net monitor
+          ~directory ~geo:geo_truth ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
       in
       (monitor, service, None)
     | Some config ->
@@ -254,8 +250,9 @@ let baseline t =
        (fun sw -> (sw, Rvaas.Snapshot.flows snapshot ~sw))
        (Rvaas.Snapshot.switches snapshot))
 
-let policy_for t ~client =
+let policy_for t ~host =
   let topo = Netsim.Net.topology t.net in
+  let client = (Option.get (Sdnctl.Addressing.host t.addressing ~host)).client in
   let own_points = Sdnctl.Addressing.access_points t.addressing topo ~client in
   let allowed_peer_points =
     List.concat_map
@@ -264,7 +261,18 @@ let policy_for t ~client =
         else [])
       t.spec.whitelist
   in
-  { (Rvaas.Detector.default_policy ~own_points) with allowed_peer_points }
+  (* An answer never lists the querier's own access point: an Output
+     to the ingress port is suppressed. *)
+  let querier_point =
+    match Netsim.Topology.host_attachment topo host with
+    | Some { Netsim.Topology.node = Netsim.Topology.Switch sw; port } -> Some (sw, port)
+    | Some _ | None -> None
+  in
+  {
+    (Rvaas.Detector.default_policy ~own_points) with
+    allowed_peer_points;
+    expected_reachable = List.filter (fun p -> Some p <> querier_point) own_points;
+  }
 
 let query_and_wait t ~host query ~timeout =
   let agent = agent t ~host in

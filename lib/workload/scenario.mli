@@ -46,10 +46,6 @@ type spec = {
   persist : persist option;
       (** when set (requires [ha]), the journal is mirrored into a
           segmented on-disk store reachable via {!val-store} *)
-  engine : Rvaas.Plumbing.engine;
-      (** the service's verification engine: per-query sweeps
-          ([`Sweep], the default) or the compiled plumbing graph
-          ([`Compiled]) maintained incrementally from monitor deltas *)
   frontend : Rvaas.Frontend.config;
       (** the service's multi-tenant front-end (admission, coalescing,
           subsumption, batching); {!Rvaas.Frontend.default_config} —
@@ -59,8 +55,8 @@ type spec = {
           addressed endpoint.  [> 0]: range mode — every topology host
           becomes the gateway of a {!Sdnctl.Addressing.add_range}
           block of that many addresses, carried end-to-end as a single
-          prefix ([Hs] cube) through routing, snapshot, verifier and
-          plumbing; see {!range_scope} *)
+          prefix ([Hs] cube) through routing, snapshot and verifier;
+          see {!range_scope} *)
 }
 
 (** [default_spec topo] — two clients, seed 42, randomized polling with
@@ -125,9 +121,12 @@ val agent : t -> host:int -> Rvaas.Client_agent.t
     drift baseline (call after [build], before any attack). *)
 val baseline : t -> Rvaas.Detector.baseline
 
-(** [policy_for t ~client] derives the client's default detector policy
-    (its own access points, whitelisted peers' points included). *)
-val policy_for : t -> client:int -> Rvaas.Detector.policy
+(** [policy_for t ~host] derives the default detector policy of
+    [host]'s client: its own access points, whitelisted peers' points
+    allowed, and every own access point except [host]'s expected in an
+    unscoped endpoint answer to a query from [host] (a blackholed peer
+    raises [Unreachable_expected]). *)
+val policy_for : t -> host:int -> Rvaas.Detector.policy
 
 (** [query_and_wait t ~host query ~timeout] sends a query from [host],
     advances the simulation until the answer arrives (or [timeout]

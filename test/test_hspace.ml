@@ -86,7 +86,9 @@ let test_tern_count_fixed () =
 
 let test_tern_of_string_invalid () =
   Alcotest.check_raises "bad char" (Invalid_argument "Tern.of_string: bad character")
-    (fun () -> ignore (t_of "01a"))
+    (fun () -> ignore (t_of "01a"));
+  Alcotest.check_raises "empty string"
+    (Invalid_argument "Tern.all_x: width must be positive") (fun () -> ignore (t_of ""))
 
 (* ---- membership oracle properties ---- *)
 
@@ -369,6 +371,28 @@ let prop_overlaps_is_nonempty_inter =
       let a = t_of a and b = t_of b in
       T.overlaps a b = not (T.is_empty (T.inter a b)))
 
+(* Reference parser: a [Tern.set] fold, one copy of the cube per
+   character. *)
+let per_char_of_string s =
+  let t = ref (T.all_x (String.length s)) in
+  String.iteri
+    (fun i c ->
+      t :=
+        T.set !t i
+          (match c with
+          | '0' -> T.Zero
+          | '1' -> T.One
+          | 'z' | 'Z' -> T.Empty
+          | _ -> T.Any))
+    s;
+  !t
+
+let prop_of_string_per_char =
+  QCheck2.Test.make ~name:"of_string = per-character Tern.set fold" ~count:500
+    QCheck2.Gen.(
+      string_size ~gen:(oneofl [ '0'; '1'; 'x'; 'X'; '*'; 'z'; 'Z' ]) (int_range 1 300))
+    (fun s -> T.equal (T.of_string s) (per_char_of_string s))
+
 (* ---- qcheck: Hs algebra vs brute-force enumeration ---- *)
 
 (* Width 8 keeps the concrete universe (256 vectors) fully enumerable,
@@ -455,6 +479,7 @@ let () =
           Alcotest.test_case "difference" `Quick test_tern_diff;
           Alcotest.test_case "count_fixed" `Quick test_tern_count_fixed;
           Alcotest.test_case "of_string invalid" `Quick test_tern_of_string_invalid;
+          QCheck_alcotest.to_alcotest prop_of_string_per_char;
           QCheck_alcotest.to_alcotest prop_inter_matches_naive;
           QCheck_alcotest.to_alcotest prop_overlaps_is_nonempty_inter;
         ] );

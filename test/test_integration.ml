@@ -26,8 +26,7 @@ let test_benign_isolation () =
     check Alcotest.bool "signature verified" true outcome.signature_ok;
     (* Host 0 belongs to client 0; with isolation ACLs only client 0's
        own points can reach it. *)
-    let info = Option.get (Sdnctl.Addressing.host s.addressing ~host:0) in
-    let policy = Workload.Scenario.policy_for s ~client:info.client in
+    let policy = Workload.Scenario.policy_for s ~host:0 in
     let alarms = Rvaas.Detector.check_answer policy answer in
     check Alcotest.int "no alarms on benign network" 0 (List.length alarms);
     check Alcotest.bool "counting defence satisfied" true
@@ -70,7 +69,7 @@ let test_join_attack_detected () =
   | None -> Alcotest.fail "no answer under attack"
   | Some outcome ->
     let answer = outcome.Rvaas.Client_agent.answer in
-    let policy = Workload.Scenario.policy_for s ~client:0 in
+    let policy = Workload.Scenario.policy_for s ~host:0 in
     let alarms = Rvaas.Detector.check_answer policy answer in
     let unknown_point =
       List.exists
@@ -117,9 +116,35 @@ let test_exfiltration_detected () =
   | None -> Alcotest.fail "no answer"
   | Some outcome ->
     let answer = outcome.Rvaas.Client_agent.answer in
-    let policy = Workload.Scenario.policy_for s ~client:0 in
+    let policy = Workload.Scenario.policy_for s ~host:0 in
     let alarms = Rvaas.Detector.check_answer policy answer in
     check Alcotest.bool "exfiltration raises an alarm" true (alarms <> [])
+
+(* ---- a blackholed own peer goes missing from the reachability answer ---- *)
+
+let test_blackhole_detected () =
+  let s = build_linear ~clients:2 ~switches:4 () in
+  (* Client 0 owns hosts 0 and 2; traffic to host 2 is dropped. *)
+  Sdnctl.Attack.launch s.net s.addressing
+    ~conn:(Sdnctl.Provider.conn s.provider)
+    (Sdnctl.Attack.Blackhole { victim_host = 2 });
+  Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.2);
+  match
+    Workload.Scenario.query_and_wait s ~host:0
+      (Rvaas.Query.make Rvaas.Query.Reachable_endpoints)
+      ~timeout:1.0
+  with
+  | None -> Alcotest.fail "no answer"
+  | Some outcome ->
+    let alarms =
+      Rvaas.Detector.check_answer
+        (Workload.Scenario.policy_for s ~host:0)
+        outcome.Rvaas.Client_agent.answer
+    in
+    check Alcotest.bool "blackhole raises unreachable-expected" true
+      (List.exists
+         (function Rvaas.Detector.Unreachable_expected _ -> true | _ -> false)
+         alarms)
 
 (* ---- logical/physical agreement: HSA result = simulated delivery ---- *)
 
@@ -196,7 +221,7 @@ let test_counting_defence () =
     let answer = outcome.Rvaas.Client_agent.answer in
     check Alcotest.bool "fewer replies than requests" true
       (answer.auth_replies < answer.total_auth_requests);
-    let policy = Workload.Scenario.policy_for s ~client:0 in
+    let policy = Workload.Scenario.policy_for s ~host:0 in
     let alarms = Rvaas.Detector.check_answer policy answer in
     check Alcotest.bool "missing-replies alarm raised" true
       (List.exists
@@ -399,6 +424,7 @@ let () =
           Alcotest.test_case "attack changes endpoint count" `Quick
             test_benign_then_attack_differs;
           Alcotest.test_case "exfiltration detected" `Quick test_exfiltration_detected;
+          Alcotest.test_case "blackhole detected" `Quick test_blackhole_detected;
           Alcotest.test_case "HSA agrees with simulation" `Quick
             test_hsa_agrees_with_simulation;
           Alcotest.test_case "exact agreement on random configs" `Quick

@@ -1,4 +1,4 @@
-(* Differential verification of the compiled plumbing engine.
+(* Differential verification of the plumbing memo.
 
    [Rvaas.Plumbing] must answer every reach question exactly as the
    per-query sweep does — same endpoints, arriving spaces, traversal
@@ -25,7 +25,7 @@ let results_agree (a : Rvaas.Verifier.reach_result)
        (fun (_, x) (_, y) -> Hspace.Hs.equal x y)
        a.controller_hits b.controller_hits
 
-(* ---- compiled engine vs. sweep on a monitored deployment ---- *)
+(* ---- the memo vs. the sweep on a monitored deployment ---- *)
 
 let test_compiled_matches_scenario () =
   let topo = Workload.Topogen.fat_tree Workload.Topogen.default_params ~k:4 in
@@ -60,48 +60,6 @@ let test_compiled_matches_scenario () =
     st.Rvaas.Plumbing.fallback_sweeps;
   let g = Rvaas.Plumbing.graph plumbing in
   check Alcotest.bool "graph materialised" true (g.nodes > 0 && g.edges > 0)
-
-(* ---- the service's `Compiled engine stays current via the monitor
-   hook: after an attack lands, lookups still equal a fresh sweep of
-   the believed view ---- *)
-
-let test_service_compiled_engine () =
-  let topo = Workload.Topogen.linear Workload.Topogen.default_params 4 in
-  let s =
-    Workload.Scenario.build
-      {
-        (Workload.Scenario.default_spec topo) with
-        seed = 5;
-        engine = `Compiled;
-      }
-  in
-  let now () = Netsim.Sim.now (Netsim.Net.sim s.net) in
-  Workload.Scenario.run s ~until:(now () +. 0.3);
-  check Alcotest.bool "service reports the compiled engine" true
-    (Rvaas.Service.engine s.service = `Compiled);
-  let plumbing = Option.get (Rvaas.Service.plumbing s.service) in
-  Sdnctl.Attack.launch s.net s.addressing
-    ~conn:(Sdnctl.Provider.conn s.provider)
-    (Sdnctl.Attack.Blackhole { victim_host = 2 });
-  Workload.Scenario.run s ~until:(now () +. 0.3);
-  let st = Rvaas.Plumbing.stats plumbing in
-  check Alcotest.bool "monitor deltas reached the graph" true
-    (st.Rvaas.Plumbing.updates > 0);
-  let snapshot = Rvaas.Monitor.snapshot (Workload.Scenario.monitor s) in
-  let flows_of sw = Rvaas.Snapshot.flows snapshot ~sw in
-  List.iter
-    (fun (ep : Rvaas.Verifier.endpoint) ->
-      let a =
-        Rvaas.Service.reach s.service ~src_sw:ep.sw ~src_port:ep.port
-          ~hs:(Rvaas.Verifier.ip_traffic_hs ())
-      in
-      let b =
-        Rvaas.Verifier.reach ~flows_of topo ~src_sw:ep.sw ~src_port:ep.port
-          ~hs:(Rvaas.Verifier.ip_traffic_hs ())
-      in
-      check Alcotest.bool "post-attack lookup equals sweep" true
-        (results_agree a b))
-    (Rvaas.Verifier.access_points topo)
 
 (* ---- field rewrites taint the precomputed source: scoped queries
    must fall back to exact propagation and still match the oracle ---- *)
@@ -148,9 +106,9 @@ let test_rewrite_fallback () =
 
 (* ---- differential churn: a random event program (rolling upgrades,
    link flaps, transient attacks) runs over a generated world while the
-   service's compiled engine answers; after every burst the live memo
-   must match the reference verifier, the sweep AND a fresh compile of
-   the same believed view ---- *)
+   service answers cache-first; after every burst its answers must match
+   the reference verifier, a fresh sweep AND a fresh compile of the same
+   believed view ---- *)
 
 let differential_churn topo ~seed =
   let s =
@@ -159,7 +117,6 @@ let differential_churn topo ~seed =
         (Workload.Scenario.default_spec topo) with
         clients = 2;
         seed;
-        engine = `Compiled;
         polling = Rvaas.Monitor.Periodic 0.05;
       }
   in
@@ -209,11 +166,11 @@ let differential_churn topo ~seed =
               Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:ep.sw
                 ~src_port:ep.port ~hs
             in
-            check Alcotest.bool "compiled equals reference under churn" true
+            check Alcotest.bool "served equals reference under churn" true
               (results_agree live reference);
-            check Alcotest.bool "compiled equals sweep under churn" true
+            check Alcotest.bool "served equals sweep under churn" true
               (results_agree live sweep);
-            check Alcotest.bool "incremental equals fresh compile under churn" true
+            check Alcotest.bool "served equals fresh compile under churn" true
               (results_agree live recompiled))
           scopes)
       points
@@ -424,10 +381,5 @@ let () =
             test_differential_churn_leaf_spine;
           Alcotest.test_case "churn over a scale-free backbone" `Quick
             test_differential_churn_backbone;
-        ] );
-      ( "maintenance",
-        [
-          Alcotest.test_case "service compiled engine stays current" `Quick
-            test_service_compiled_engine;
         ] );
     ]

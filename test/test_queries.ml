@@ -22,7 +22,7 @@ let test_path_query_benign () =
   let answer = ask s ~host:0 (Rvaas.Query.make (Rvaas.Query.Path_length { dst_ip = dst.ip })) in
   (* Linear 0..3: the shortest (and only) path spans all 4 switches. *)
   check Alcotest.bool "path reported" true (answer.path_hops = Some (4, 4));
-  let policy = Workload.Scenario.policy_for s ~client:0 in
+  let policy = Workload.Scenario.policy_for s ~host:0 in
   check Alcotest.int "no stretch alarm" 0
     (List.length (Rvaas.Detector.check_answer policy answer))
 
@@ -43,7 +43,7 @@ let test_path_query_detects_divert () =
   | Some (observed, optimal) ->
     check Alcotest.bool "diverted path longer than optimal" true (observed > optimal)
   | None -> Alcotest.fail "no path info");
-  let policy = Workload.Scenario.policy_for s ~client:0 in
+  let policy = Workload.Scenario.policy_for s ~host:0 in
   check Alcotest.bool "stretch alarm raised" true
     (List.exists
        (function Rvaas.Detector.Path_stretch _ -> true | _ -> false)
@@ -63,7 +63,7 @@ let test_fairness_query () =
   check Alcotest.bool "meter surfaces in answer" true
     (List.exists (fun (_, rate) -> rate = 64) attacked.meters);
   let policy =
-    { (Workload.Scenario.policy_for s ~client:0) with Rvaas.Detector.min_rate_kbps = Some 1000 }
+    { (Workload.Scenario.policy_for s ~host:0) with Rvaas.Detector.min_rate_kbps = Some 1000 }
   in
   check Alcotest.bool "throttled alarm" true
     (List.exists
@@ -177,10 +177,8 @@ let oracle_probes s ~client ~hs =
   in
   List.map endpoint_id (own @ List.filter reaches_own others)
 
-let test_all_source_oracle topo engine () =
-  let s =
-    Workload.Scenario.build { (Workload.Scenario.default_spec topo) with engine }
-  in
+let test_all_source_oracle topo () =
+  let s = Workload.Scenario.build (Workload.Scenario.default_spec topo) in
   let settle () =
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3)
   in
@@ -377,15 +375,11 @@ let () =
           Alcotest.test_case "sources scoped" `Quick test_sources_scoped;
         ] );
       ( "all-source",
-        List.concat_map
+        List.map
           (fun (name, topo) ->
-            List.map
-              (fun (engine_name, engine) ->
-                Alcotest.test_case
-                  (Printf.sprintf "oracle %s %s" name engine_name)
-                  `Quick
-                  (test_all_source_oracle topo engine))
-              [ ("sweep", `Sweep); ("compiled", `Compiled) ])
+            Alcotest.test_case
+              (Printf.sprintf "oracle %s sweep" name)
+              `Quick (test_all_source_oracle topo))
           [
             ("grid-3x3", Workload.Topogen.grid p ~rows:3 ~cols:3);
             ("fat-tree-k4", Workload.Topogen.fat_tree p ~k:4);

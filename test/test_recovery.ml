@@ -327,7 +327,7 @@ let drive_query ?crash_offset s =
   | Some o when matched o ->
     let answer = o.Rvaas.Client_agent.answer in
     let alarms =
-      Rvaas.Detector.check_answer (Workload.Scenario.policy_for s ~client:0) answer
+      Rvaas.Detector.check_answer (Workload.Scenario.policy_for s ~host:0) answer
     in
     Some
       ( List.length answer.Rvaas.Query.endpoints,

@@ -390,7 +390,7 @@ let test_scenario_policy_covers_whitelist () =
     Workload.Scenario.build
       { (Workload.Scenario.default_spec topo) with clients = 2; whitelist = [ (1, 0) ] }
   in
-  let policy = Workload.Scenario.policy_for s ~client:0 in
+  let policy = Workload.Scenario.policy_for s ~host:0 in
   (* client 1 may reach client 0, so client 1's points are allowed peers. *)
   let c1_points =
     Sdnctl.Addressing.access_points s.addressing (Netsim.Net.topology s.net) ~client:1
@@ -446,11 +446,11 @@ let test_scenario_range_mode () =
 
 (* ---- churn campaigns ---- *)
 
-let churn_world ?(engine = `Sweep) seed =
+let churn_world seed =
   let topo = Workload.Topogen.leaf_spine p ~spines:2 ~leaves:3 in
   Workload.Scenario.build
     { (Workload.Scenario.default_spec topo) with
-      clients = 1; seed; engine; polling = Rvaas.Monitor.Periodic 0.05 }
+      clients = 1; seed; polling = Rvaas.Monitor.Periodic 0.05 }
 
 let class_counts (c : Workload.Churn.campaign) =
   List.fold_left
@@ -495,7 +495,7 @@ let test_churn_describe () =
        (Workload.Churn.Storm { host = 7; queries = 20; spread = 2.0 }))
 
 let test_churn_execute_reports () =
-  let s = churn_world ~engine:`Compiled 31 in
+  let s = churn_world 31 in
   let profile =
     { Workload.Churn.upgrades_per_min = 6.0; flaps_per_min = 6.0;
       attacks_per_min = 6.0; storms_per_min = 6.0; upgrade_outage = 0.3;
