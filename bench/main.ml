@@ -2830,6 +2830,28 @@ let micro () =
       throttled = false;
     }
   in
+  (* An answer as flash-crowd fans it out: one computation reports 26
+     authenticated endpoints. *)
+  let answer_26 =
+    {
+      empty_answer with
+      Rvaas.Query.nonce = "293c191f99905fcb";
+      kind = Rvaas.Query.Reachable_endpoints;
+      endpoints =
+        List.init 26 (fun i ->
+            {
+              Rvaas.Query.sw = 20 + i;
+              port = i mod 3;
+              ip = Some (0x0A000001 + i);
+              authenticated = true;
+              client = Some (i mod 8);
+            });
+      total_auth_requests = 26;
+      auth_replies = 26;
+      auth_attempts = 26;
+      snapshot_age = 0.0191;
+    }
+  in
   let kernels =
     [
       ("tern_inter", fun () -> ignore (Hspace.Tern.inter cube_a cube_b));
@@ -2837,6 +2859,8 @@ let micro () =
       ("tern_of_string", fun () -> ignore (Hspace.Tern.of_string cube_text));
       ("hs_inter", fun () -> ignore (Hspace.Hs.inter hs_a hs_b));
       ("hs_diff", fun () -> ignore (Hspace.Hs.diff hs_a hs_b));
+      (* The slice filter's test, on [hs_inter]'s operands. *)
+      ("hs_overlaps", fun () -> ignore (Hspace.Hs.overlaps hs_a hs_b));
       ( "flow_lookup_100",
         fun () -> ignore (Ofproto.Flow_table.lookup table ~in_port:0 header) );
       ( "reach_fattree_k4",
@@ -2867,6 +2891,8 @@ let micro () =
         fun () -> Rvaas.Snapshot.replace_flows reply_view ~sw:0 ~now:0.0 routes );
       ( "answer_codec",
         fun () -> ignore (Rvaas.Codec.encode_answer empty_answer ~signer:service_kp) );
+      ( "answer_codec_26",
+        fun () -> ignore (Rvaas.Codec.encode_answer answer_26 ~signer:service_kp) );
     ]
   in
   (* Allocation pressure alongside latency: the mean minor-heap words

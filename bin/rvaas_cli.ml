@@ -153,8 +153,7 @@ let make_polling mode period =
   | `Periodic -> Rvaas.Monitor.Periodic period
   | `Random -> Rvaas.Monitor.Randomized period
 
-let build kind size clients seed polling period loss frontend =
-  let topo = make_topo kind size in
+let build topo clients seed polling period loss frontend =
   Workload.Scenario.build
     {
       (Workload.Scenario.default_spec topo) with
@@ -210,6 +209,21 @@ let to_query = function
   | `Fairness -> Rvaas.Query.make Rvaas.Query.Fairness
   | `Transfer -> Rvaas.Query.make Rvaas.Query.Transfer_summary
 
+(* [--host] names the requesting host: one the topology does not have
+   is a usage error, reported before a deployment is built. *)
+let require_host topo host =
+  let hosts = Netsim.Topology.hosts topo in
+  if not (List.mem host hosts) then begin
+    let valid =
+      match hosts with
+      | [] -> "the topology has none"
+      | first :: rest ->
+        Printf.sprintf "valid hosts are %d..%d" first (List.fold_left (fun _ h -> h) first rest)
+    in
+    Printf.eprintf "rvaas-cli: option '--host': no host %d (%s)\n" host valid;
+    exit Cmd.Exit.cli_error
+  end
+
 let run_query s ~host query =
   match Workload.Scenario.query_and_wait s ~host query ~timeout:2.0 with
   | None ->
@@ -230,7 +244,9 @@ let run_query s ~host query =
 
 let query_cmd =
   let run kind size clients seed polling period loss frontend host qkind =
-    let s = build kind size clients seed polling period loss frontend in
+    let topo = make_topo kind size in
+    require_host topo host;
+    let s = build topo clients seed polling period loss frontend in
     run_query s ~host (to_query qkind)
   in
   Cmd.v
@@ -257,7 +273,9 @@ let attack_arg =
 
 let attack_cmd =
   let run kind size clients seed polling period loss frontend host qkind attack =
-    let s = build kind size clients seed polling period loss frontend in
+    let topo = make_topo kind size in
+    require_host topo host;
+    let s = build topo clients seed polling period loss frontend in
     let now () = Netsim.Sim.now (Netsim.Net.sim s.net) in
     let attack_value =
       match attack with
@@ -291,7 +309,7 @@ let attack_cmd =
 
 let monitor_cmd =
   let run kind size clients seed polling period loss frontend =
-    let s = build kind size clients seed polling period loss frontend in
+    let s = build (make_topo kind size) clients seed polling period loss frontend in
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 1.0) ;
     let snapshot = Rvaas.Monitor.snapshot s.monitor in
     Printf.printf "switches monitored: %d\n" (List.length (Rvaas.Snapshot.switches snapshot));
@@ -317,7 +335,7 @@ let monitor_cmd =
 
 let wiring_cmd =
   let run kind size clients seed polling period loss frontend =
-    let s = build kind size clients seed polling period loss frontend in
+    let s = build (make_topo kind size) clients seed polling period loss frontend in
     let report = ref None in
     Rvaas.Monitor.verify_wiring s.monitor ~timeout:0.5 ~on_complete:(fun r ->
         report := Some r);
@@ -349,7 +367,7 @@ let wiring_cmd =
 
 let traceback_cmd =
   let run kind size clients seed polling period loss frontend attack =
-    let s = build kind size clients seed polling period loss frontend in
+    let s = build (make_topo kind size) clients seed polling period loss frontend in
     Workload.Scenario.run s ~until:(Netsim.Sim.now (Netsim.Net.sim s.net) +. 0.3);
     let snapshot = Rvaas.Monitor.snapshot s.monitor in
     let baseline_flows =
@@ -423,6 +441,7 @@ let standbys_arg =
 let failover_cmd =
   let run kind size clients seed polling period loss host qkind crash_after standbys =
     let topo = make_topo kind size in
+    require_host topo host;
     let s =
       Workload.Scenario.build
         {

@@ -10,6 +10,18 @@
 (** [digest s] hashes a string to 64 bits. *)
 val digest : string -> int64
 
+(** [init] is the FNV-1a offset basis: the state before any byte. *)
+val init : int64
+
+(** [feed h s] continues the hash state [h] over the bytes of [s].
+    FNV-1a is a streaming hash, so [feed (feed init a) b] is
+    [digest (a ^ b)] without building the concatenation. *)
+val feed : int64 -> string -> int64
+
+(** [to_hex h] renders a hash state as 16 lower-case hex characters,
+    most significant nibble first. *)
+val to_hex : int64 -> string
+
 (** [digest_hex s] renders {!digest} as 16 hex characters. *)
 val digest_hex : string -> string
 

@@ -15,6 +15,10 @@ val random_key : Support.Rng.t -> key
 (** [mac key msg] tags [msg]. *)
 val mac : key -> string -> string
 
+(** [mac_parts key parts] is [mac key (String.concat "" parts)],
+    hashed part by part without building the concatenation. *)
+val mac_parts : key -> string list -> string
+
 (** [verify key msg tag] checks a tag. *)
 val verify : key -> string -> string -> bool
 

@@ -160,7 +160,10 @@ let union a b =
 
 let inter a b =
   check_width "Hs.inter" a b;
-  if is_empty a || is_empty b then empty a.width
+  (* Every broad query scope is the service's one shared IP-traffic
+     set, which it intersects with that same set. *)
+  if a == b then a
+  else if is_empty a || is_empty b then empty a.width
   else if is_full a then b
   else if is_full b then a
   else if Tern.disjoint a.bound b.bound then empty a.width
@@ -232,7 +235,20 @@ let subset a b =
 
 let equal a b = a == b || (subset a b && subset b a)
 
-let overlaps a b = not (is_empty (inter a b))
+let rec meets ca = function
+  | [] -> false
+  | cb :: rest -> (not (Tern.disjoint ca cb)) || meets ca rest
+
+let rec meets_any cas cbs =
+  match cas with [] -> false | ca :: rest -> meets ca cbs || meets_any rest cbs
+
+(* [not (is_empty (inter a b))] without building the intersection:
+   normalised sets hold no empty cube, so they share a header exactly
+   when some pair of their cubes does.  Disjoint bounds rule out every
+   pair at once. *)
+let overlaps a b =
+  check_width "Hs.overlaps" a b;
+  (not (Tern.disjoint a.bound b.bound)) && meets_any a.cubes b.cubes
 
 let hash t =
   (* Order-independent: the cube order of a normalised set depends on

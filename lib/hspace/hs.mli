@@ -94,7 +94,10 @@ val subset : t -> t -> bool
 (** [equal a b] is semantic equality (mutual subset). *)
 val equal : t -> t -> bool
 
-(** [overlaps a b] is true when the intersection is non-empty. *)
+(** [overlaps a b] is true when the intersection is non-empty.  It
+    builds no intersection: disjoint bounding cubes reject, and
+    otherwise the first pair of cubes that are not {!Tern.disjoint}
+    accepts. *)
 val overlaps : t -> t -> bool
 
 (** [hash t] is an order-independent structural hash of the normalised

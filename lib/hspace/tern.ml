@@ -15,9 +15,10 @@ let full_word = 0x3FFFFFFFFFFFFFFF (* all 31 pairs = 11 *)
 
 let word_count width = (width + bits_per_word - 1) / bits_per_word
 
-(* Mask with 11 on the pairs that encode valid header bits of word [k]. *)
+(* Mask with 11 on the pairs that encode valid header bits of word [k].
+   Integer compares only: the polymorphic [min] is a C call per word. *)
 let valid_mask width k =
-  let used = min bits_per_word (width - (k * bits_per_word)) in
+  let used = width - (k * bits_per_word) in
   if used >= bits_per_word then full_word else (1 lsl (2 * used)) - 1
 
 let all_x width =
@@ -119,18 +120,19 @@ let join a b =
 
 (* Non-allocating emptiness test of [inter a b]: word-wise [land] with
    an early exit on the first word containing a 00 pair.  Equivalent to
-   [not (overlaps a b)] without building the intermediate vector. *)
+   [not (overlaps a b)] without building the intermediate vector.  The
+   loop is a top-level function: a local one would allocate its
+   closure on every call. *)
+let rec disjoint_from width aw bw k =
+  k < Array.length aw
+  &&
+  let w = aw.(k) land bw.(k) in
+  let valid = evens_mask land valid_mask width k in
+  (w lor (w lsr 1)) land valid <> valid || disjoint_from width aw bw (k + 1)
+
 let disjoint a b =
   check_width "Tern.disjoint" a b;
-  let n = Array.length a.words in
-  let rec go k =
-    if k >= n then false
-    else
-      let w = a.words.(k) land b.words.(k) in
-      let valid = evens_mask land valid_mask a.width k in
-      if (w lor (w lsr 1)) land valid <> valid then true else go (k + 1)
-  in
-  go 0
+  disjoint_from a.width a.words b.words 0
 
 let hash t =
   (* FNV-style word mixer; pairs beyond [width] are canonically 11, so

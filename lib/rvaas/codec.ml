@@ -133,14 +133,7 @@ let decode_auth_reply payload ~lookup_key =
 
 (* ---- answers ---- *)
 
-let opt_int_to_string = function None -> "-" | Some v -> string_of_int v
-
 let opt_int_of_string = function "-" -> None | s -> int_of_string_opt s
-
-let endpoint_line (e : Query.endpoint_report) =
-  Printf.sprintf "%d,%d,%s,%d,%s" e.sw e.port (opt_int_to_string e.ip)
-    (if e.authenticated then 1 else 0)
-    (opt_int_to_string e.client)
 
 let parse_endpoint s =
   match String.split_on_char ',' s with
@@ -158,42 +151,104 @@ let parse_endpoint s =
     | _ -> None)
   | _ -> None
 
-let answer_body (a : Query.answer) =
-  let lines =
-    [ kv "nonce" a.nonce; kv "kind" (Query.kind_to_string a.kind) ]
-    @ List.map (fun e -> kv "endpoint" (endpoint_line e)) a.endpoints
-    @ [
-        kv "total_auth" (string_of_int a.total_auth_requests);
-        kv "replies" (string_of_int a.auth_replies);
-        kv "attempts" (string_of_int a.auth_attempts);
-        kv "degraded" (if a.degraded then "1" else "0");
-      ]
-    (* Only emitted when set: pre-frontend decoders never saw the key
-       and the default below keeps old captures decodable. *)
-    @ (if a.throttled then [ kv "throttled" "1" ] else [])
-    @ List.map (fun j -> kv "jur" j) a.jurisdictions
-    @ (match a.path_hops with
-      | None -> []
-      | Some (observed, optimal) ->
-        [ kv "path" (string_of_int observed ^ "," ^ string_of_int optimal) ])
-    @ List.map
-        (fun (id, rate) -> kv "meter" (string_of_int id ^ "," ^ string_of_int rate))
-        a.meters
-    @ List.concat_map
-        (fun (sw, port, hs) ->
-          List.map
-            (fun cube ->
-              kv "tf"
-                (Printf.sprintf "%d,%d,%s" sw port (Hspace.Tern.to_string cube)))
-            (Hspace.Hs.cubes hs))
-        a.transfer
-    @ [ kv "age" (Printf.sprintf "%.9f" a.snapshot_age) ]
-  in
-  join_lines lines
+(* Answers are rendered straight into one buffer, integers through a
+   direct digit writer.  The bytes are exactly those of [join_lines]
+   over the [key=value] lines of [add_answer_body], in its order. *)
 
-let encode_answer a ~signer =
-  let body = answer_body a in
-  body ^ "\n" ^ kv "sig" (Cryptosim.Keys.sign signer body)
+(* The decimal digits of [-n] for [n <= 0]: counting down from zero
+   reaches [min_int], which has no positive counterpart. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [string_of_int n], appended. *)
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+let add_opt_int b = function None -> Buffer.add_char b '-' | Some v -> add_int b v
+
+let add_bit b flag = Buffer.add_char b (if flag then '1' else '0')
+
+(* Starts a [key=] line; every line but the first follows a newline. *)
+let add_key b key =
+  Buffer.add_char b '\n';
+  Buffer.add_string b key;
+  Buffer.add_char b '='
+
+let add_pair b x y =
+  add_int b x;
+  Buffer.add_char b ',';
+  add_int b y
+
+let add_answer_body b (a : Query.answer) =
+  Buffer.add_string b "nonce=";
+  Buffer.add_string b a.nonce;
+  add_key b "kind";
+  Buffer.add_string b (Query.kind_to_string a.kind);
+  List.iter
+    (fun (e : Query.endpoint_report) ->
+      add_key b "endpoint";
+      add_pair b e.sw e.port;
+      Buffer.add_char b ',';
+      add_opt_int b e.ip;
+      Buffer.add_char b ',';
+      add_bit b e.authenticated;
+      Buffer.add_char b ',';
+      add_opt_int b e.client)
+    a.endpoints;
+  add_key b "total_auth";
+  add_int b a.total_auth_requests;
+  add_key b "replies";
+  add_int b a.auth_replies;
+  add_key b "attempts";
+  add_int b a.auth_attempts;
+  add_key b "degraded";
+  add_bit b a.degraded;
+  (* Only emitted when set: pre-frontend decoders never saw the key
+     and the default below keeps old captures decodable. *)
+  if a.throttled then begin
+    add_key b "throttled";
+    Buffer.add_char b '1'
+  end;
+  List.iter
+    (fun j ->
+      add_key b "jur";
+      Buffer.add_string b j)
+    a.jurisdictions;
+  Option.iter
+    (fun (observed, optimal) ->
+      add_key b "path";
+      add_pair b observed optimal)
+    a.path_hops;
+  List.iter
+    (fun (id, rate) ->
+      add_key b "meter";
+      add_pair b id rate)
+    a.meters;
+  List.iter
+    (fun (sw, port, hs) ->
+      List.iter
+        (fun cube ->
+          add_key b "tf";
+          add_pair b sw port;
+          Buffer.add_char b ',';
+          Buffer.add_string b (Hspace.Tern.to_string cube))
+        (Hspace.Hs.cubes hs))
+    a.transfer;
+  add_key b "age";
+  Buffer.add_string b (Printf.sprintf "%.9f" a.snapshot_age)
+
+let encode_answer (a : Query.answer) ~signer =
+  let b = Buffer.create (256 + (40 * List.length a.endpoints)) in
+  add_answer_body b a;
+  let body = Buffer.contents b in
+  add_key b "sig";
+  Buffer.add_string b (Cryptosim.Keys.sign signer body);
+  Buffer.contents b
 
 let decode_answer payload ~service_public =
   match String.rindex_opt payload '\n' with

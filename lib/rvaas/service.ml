@@ -42,11 +42,12 @@ type requester = {
 
 (* A narrower query riding a broader computation: its endpoints are
    the subset of the subsumer's probes whose arrival space overlaps
-   the slice scope, its answer sliced out at the shared finalize. *)
+   the slice scope, in probe order, its answer sliced out at the
+   shared finalize. *)
 type slice_pending = {
   sp_query : Query.t;  (* the sliced query, journalled for re-issue *)
   sp_base : Query.answer;
-  sp_targets : Verifier.endpoint list;  (* subset of the subsumer's *)
+  sp_targets : Verifier.endpoint list;  (* subsequence of the subsumer's *)
   mutable sp_waiters : requester list;  (* newest first *)
 }
 
@@ -344,6 +345,21 @@ let drop_cover t (p : pending) =
       if !cell = [] then Hashtbl.remove t.subsumable c.c_point
     | None -> ())
 
+(* A slice's probes, in one pass.  [targets] is an ordered subsequence
+   of the probes' targets: both are read off one arrival list, whose
+   endpoints are distinct ([open_reach], [try_subsume]). *)
+let slice_probes probes (targets : Verifier.endpoint list) =
+  let rec go acc probes targets =
+    match probes, targets with
+    | [], _ | _, [] -> List.rev acc
+    | pr :: probes', (tg : Verifier.endpoint) :: targets' ->
+      let ep = pr.target in
+      if ep.Verifier.sw = tg.sw && ep.port = tg.port && ep.host = tg.host then
+        go (pr :: acc) probes' targets'
+      else go acc probes' targets
+  in
+  go [] probes targets
+
 let finalize t (p : pending) =
   if t.live && not p.finalized then
     if not (Netsim.Net.conn_up (Monitor.conn t.monitor)) then
@@ -381,10 +397,9 @@ let finalize t (p : pending) =
          slice's own logical base. *)
       List.iter
         (fun sp ->
-          let probes =
-            List.filter (fun pr -> List.mem pr.target sp.sp_targets) p.probes
+          let template =
+            answer_of ~base:sp.sp_base (slice_probes p.probes sp.sp_targets)
           in
-          let template = answer_of ~base:sp.sp_base probes in
           List.iter (answer_out template) (List.rev sp.sp_waiters))
         (List.rev p.slices)
     end

@@ -289,10 +289,14 @@ let sources_reaching ~flows_of topo ~dst ~hs =
           result.endpoints)
     (access_points topo)
 
-let ip_traffic_hs () =
+(* Built once: sets are immutable, and the service restricts every
+   request's scope by it. *)
+let ip_traffic =
   Hspace.Hs.of_cube
     (Hspace.Field.set_exact (Hspace.Tern.all_x width) Hspace.Field.Eth_type
        Hspace.Header.eth_type_ip)
+
+let ip_traffic_hs () = ip_traffic
 
 let dst_ip_hs ip =
   Hspace.Hs.of_cube

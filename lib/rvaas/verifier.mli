@@ -146,7 +146,8 @@ val sources_reaching :
   (endpoint * Hspace.Hs.t) list
 
 (** [ip_traffic_hs ()] is the header space of all IPv4 traffic — the
-    default query scope. *)
+    default query scope.  Every call returns the one set built at
+    module initialisation. *)
 val ip_traffic_hs : unit -> Hspace.Hs.t
 
 (** [dst_ip_hs ip] is IPv4 traffic addressed to [ip]. *)

@@ -241,7 +241,10 @@ let store t =
 
 let storage_key t = storage_key_of t.service_keypair
 
-let agent t ~host = List.assoc host t.agents
+let agent t ~host =
+  match List.assoc_opt host t.agents with
+  | Some agent -> agent
+  | None -> invalid_arg (Printf.sprintf "Scenario.agent: no host %d" host)
 
 let baseline t =
   let snapshot = Rvaas.Monitor.snapshot (monitor t) in

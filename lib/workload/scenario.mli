@@ -114,7 +114,7 @@ val store : t -> Support.Segment_store.t
 val storage_key : t -> Cryptosim.Hmac.key
 
 (** [agent t ~host] returns the host's agent.
-    @raise Not_found for unknown hosts. *)
+    @raise Invalid_argument naming the host for unknown hosts. *)
 val agent : t -> host:int -> Rvaas.Client_agent.t
 
 (** [baseline t] captures the current believed configuration as the

@@ -20,7 +20,19 @@ let test_hash_fnv1a_vectors () =
     [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
 
 let test_hash_hex () =
-  check Alcotest.int "16 hex chars" 16 (String.length (Cryptosim.Hash.digest_hex "x"))
+  check Alcotest.int "16 hex chars" 16 (String.length (Cryptosim.Hash.digest_hex "x"));
+  check Alcotest.string "high bytes" "a5f234e1ec9d701e"
+    (Cryptosim.Hash.digest_hex "\xff\x00abc")
+
+(* Streaming: feeding the pieces of a string in order digests the
+   whole string. *)
+let prop_hash_feed_concat =
+  QCheck2.Test.make ~name:"feed of the pieces = digest of the concatenation" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 5) string)
+    (fun parts ->
+      Int64.equal
+        (List.fold_left Cryptosim.Hash.feed Cryptosim.Hash.init parts)
+        (Cryptosim.Hash.digest (String.concat "" parts)))
 
 let test_hash_combine () =
   let a = Cryptosim.Hash.digest "a" and b = Cryptosim.Hash.digest "b" in
@@ -36,6 +48,29 @@ let test_hmac_roundtrip () =
   check Alcotest.bool "wrong message" false (Cryptosim.Hmac.verify key "hellp" tag);
   let other = Cryptosim.Hmac.key_of_string "other" in
   check Alcotest.bool "wrong key" false (Cryptosim.Hmac.verify other "hello" tag)
+
+(* Tags as the concatenating MAC computed them: every request MAC and
+   auth-reply MAC on the wire is pinned to these bytes. *)
+let test_hmac_vectors () =
+  let key = Cryptosim.Hmac.key_of_string "k" in
+  check Alcotest.string "key" "k:af63e64c8601fd8a" (Cryptosim.Hmac.key_to_string key);
+  List.iter
+    (fun (msg, tag) -> check Alcotest.string msg tag (Cryptosim.Hmac.mac key msg))
+    [
+      ("", "497a441e8f7c327d");
+      ("hello", "e2acaf421cb9e3bd");
+      ("client=3\nchallenge=ab", "228fe2d6a69035a9");
+    ]
+
+let prop_hmac_is_framed_digest =
+  QCheck2.Test.make ~name:"mac = digest of key|msg|key" ~count:200
+    QCheck2.Gen.(pair string (list_size (int_range 0 4) string))
+    (fun (material, parts) ->
+      let key = Cryptosim.Hmac.key_of_string material in
+      let k = Cryptosim.Hmac.key_to_string key and msg = String.concat "" parts in
+      let expected = Cryptosim.Hash.digest_hex (k ^ "|" ^ msg ^ "|" ^ k) in
+      String.equal (Cryptosim.Hmac.mac key msg) expected
+      && String.equal (Cryptosim.Hmac.mac_parts key parts) expected)
 
 let test_hmac_key_derivation () =
   check Alcotest.bool "same material same key" true
@@ -57,6 +92,20 @@ let test_keys_sign_verify () =
        ~signature:(Cryptosim.Keys.forge_signature "msg"));
   check Alcotest.bool "unknown public key" false
     (Cryptosim.Keys.verify ~public:"pub:nobody:0" "msg" ~signature:s)
+
+(* Signatures as the concatenating signer computed them: every signed
+   answer and auth request on the wire is pinned to these bytes. *)
+let test_keys_sign_vectors () =
+  let kp = Cryptosim.Keys.generate (Support.Rng.create 1) ~owner:"service" in
+  check Alcotest.string "public" "pub:service:6463dbb00cc3cd9e" (Cryptosim.Keys.public kp);
+  List.iter
+    (fun (msg, signature) ->
+      check Alcotest.string msg signature (Cryptosim.Keys.sign kp msg))
+    [
+      ("", "43cf3e3c31416c91");
+      ("msg", "a9658e17511746d6");
+      ("nonce=n\nkind=isolation", "97f0dc3860e1d666");
+    ]
 
 let test_keys_cross_verify () =
   let r = rng () in
@@ -143,16 +192,20 @@ let () =
           Alcotest.test_case "fnv-1a vectors" `Quick test_hash_fnv1a_vectors;
           Alcotest.test_case "hex" `Quick test_hash_hex;
           Alcotest.test_case "combine" `Quick test_hash_combine;
+          QCheck_alcotest.to_alcotest prop_hash_feed_concat;
         ] );
       ( "hmac",
         [
           Alcotest.test_case "roundtrip" `Quick test_hmac_roundtrip;
+          Alcotest.test_case "vectors" `Quick test_hmac_vectors;
           Alcotest.test_case "key derivation" `Quick test_hmac_key_derivation;
+          QCheck_alcotest.to_alcotest prop_hmac_is_framed_digest;
           QCheck_alcotest.to_alcotest prop_hmac_verifies;
         ] );
       ( "keys",
         [
           Alcotest.test_case "sign/verify" `Quick test_keys_sign_verify;
+          Alcotest.test_case "sign vectors" `Quick test_keys_sign_vectors;
           Alcotest.test_case "cross verify" `Quick test_keys_cross_verify;
         ] );
       ( "box",

@@ -420,6 +420,7 @@ let prop_hs_ops_brute_force =
       let a = Hs.of_cubes bw ca and b = Hs.of_cubes bw cb in
       let u = Hs.union a b
       and i = Hs.inter a b
+      and ia = Hs.inter a a
       and d = Hs.diff a b
       and c = Hs.complement a in
       List.for_all
@@ -427,6 +428,7 @@ let prop_hs_ops_brute_force =
           let ma = Hs.mem v a and mb = Hs.mem v b in
           Hs.mem v u = (ma || mb)
           && Hs.mem v i = (ma && mb)
+          && Hs.mem v ia = ma
           && Hs.mem v d = (ma && not mb)
           && Hs.mem v c = not ma)
         enum_all)
@@ -438,6 +440,26 @@ let prop_hs_subset_brute_force =
       let a = Hs.of_cubes bw ca and b = Hs.of_cubes bw cb in
       Hs.subset a b
       = List.for_all (fun v -> (not (Hs.mem v a)) || Hs.mem v b) enum_all)
+
+(* Sets as the slice filter meets them, the empty and the full set
+   included. *)
+let hs8_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return (Hs.empty bw));
+        (1, return (Hs.full bw));
+        (6, map (Hs.of_cubes bw) cubes8_gen);
+      ])
+
+let prop_overlaps_is_nonempty_hs_inter =
+  QCheck2.Test.make ~name:"Hs.overlaps = inter non-empty = enumeration" ~count:500
+    QCheck2.Gen.(pair hs8_gen hs8_gen)
+    (fun (a, b) ->
+      let o = Hs.overlaps a b in
+      o = not (Hs.is_empty (Hs.inter a b))
+      && o = List.exists (fun v -> Hs.mem v a && Hs.mem v b) enum_all
+      && o = Hs.overlaps b a)
 
 let prop_builder_matches_ref =
   (* The batch builder and the original quadratic normaliser must agree
@@ -491,6 +513,7 @@ let () =
           Alcotest.test_case "no subsumed cubes" `Quick test_hs_no_subsumed_cubes;
           QCheck_alcotest.to_alcotest prop_hs_ops_brute_force;
           QCheck_alcotest.to_alcotest prop_hs_subset_brute_force;
+          QCheck_alcotest.to_alcotest prop_overlaps_is_nonempty_hs_inter;
           QCheck_alcotest.to_alcotest prop_builder_matches_ref;
           QCheck_alcotest.to_alcotest prop_bound_contains_cubes;
           QCheck_alcotest.to_alcotest prop_hash_respects_structure;

@@ -329,28 +329,52 @@ let kind_gen =
           Transfer_summary; Path_length { dst_ip };
         ])
 
+(* Mostly small counts and ids, plus the values a digit writer gets
+   wrong: zero, negatives, [max_int] and [min_int]. *)
+let wide_int_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, int_range 0 99);
+        (1, return 0);
+        (1, int_range (-1000) (-1));
+        (1, return max_int);
+        (1, return min_int);
+        (2, int);
+      ])
+
 let endpoint_gen =
   QCheck2.Gen.(
-    let* sw = int_range 0 99 and* port = int_range 0 15 in
-    let* ip = option (int_range 0 0xFFFF) and* authenticated = bool in
-    let* client = option (int_range 0 7) in
+    let* sw = wide_int_gen and* port = wide_int_gen in
+    let* ip = option wide_int_gen and* authenticated = bool in
+    let* client = option wide_int_gen in
     return { Rvaas.Query.sw; port; ip; authenticated; client })
 
 let answer_gen =
   QCheck2.Gen.(
     let* nonce = short_string_gen and* kind = kind_gen in
-    let* endpoints = list_size (int_range 0 4) endpoint_gen in
-    let* total_auth_requests = int_range 0 50 and* auth_replies = int_range 0 50 in
-    let* auth_attempts = int_range 0 200 and* degraded = bool in
+    let* endpoints = list_size (int_range 0 40) endpoint_gen in
+    let* total_auth_requests = wide_int_gen and* auth_replies = wide_int_gen in
+    let* auth_attempts = wide_int_gen and* degraded = bool in
     let* jurisdictions = list_size (int_range 0 3) short_string_gen in
-    let* path_hops = option (pair (int_range 0 30) (int_range 0 30)) in
-    let* meters = list_size (int_range 0 3) (pair (int_range 0 9) (int_range 0 10_000)) in
-    let* cells = list_size (int_range 0 3) (pair (pair (int_range 0 9) (int_range 0 3)) (int_range 0 0xFFFF)) in
+    let* path_hops = option (pair wide_int_gen wide_int_gen) in
+    let* meters = list_size (int_range 0 3) (pair wide_int_gen wide_int_gen) in
+    let* cells =
+      list_size (int_range 0 3)
+        (pair (pair wide_int_gen wide_int_gen)
+           (list_size (int_range 1 2) (int_range 0 0xFFFF)))
+    in
     (* decode returns transfer sorted and grouped by (sw, port): feed it
        distinct sorted keys so equality is exact. *)
     let transfer =
       List.map
-        (fun ((sw, port), ip) -> (sw, port, Rvaas.Verifier.dst_ip_hs ip))
+        (fun ((sw, port), ips) ->
+          ( sw,
+            port,
+            List.fold_left
+              (fun hs ip -> Hspace.Hs.union hs (Rvaas.Verifier.dst_ip_hs ip))
+              (Hspace.Hs.empty Hspace.Field.total_width)
+              ips ))
         (List.sort_uniq (fun (k, _) (k', _) -> compare k k') cells)
     in
     let* age_ns = int_range 0 1_000_000_000 in
@@ -361,6 +385,55 @@ let answer_gen =
         auth_attempts; degraded; jurisdictions; path_hops; meters; transfer;
         snapshot_age = float_of_int age_ns /. 1e6; throttled;
       })
+
+(* A reference renderer, one [Printf.sprintf] or [string_of_int] per
+   field and one string per line, joined and then signed: the byte
+   oracle for [Codec.encode_answer]. *)
+let reference_encode_answer (a : Rvaas.Query.answer) ~signer =
+  let kv key value = key ^ "=" ^ value in
+  let opt = function None -> "-" | Some v -> string_of_int v in
+  let lines =
+    [ kv "nonce" a.nonce; kv "kind" (Rvaas.Query.kind_to_string a.kind) ]
+    @ List.map
+        (fun (e : Rvaas.Query.endpoint_report) ->
+          kv "endpoint"
+            (Printf.sprintf "%d,%d,%s,%d,%s" e.sw e.port (opt e.ip)
+               (if e.authenticated then 1 else 0)
+               (opt e.client)))
+        a.endpoints
+    @ [
+        kv "total_auth" (string_of_int a.total_auth_requests);
+        kv "replies" (string_of_int a.auth_replies);
+        kv "attempts" (string_of_int a.auth_attempts);
+        kv "degraded" (if a.degraded then "1" else "0");
+      ]
+    @ (if a.throttled then [ kv "throttled" "1" ] else [])
+    @ List.map (fun j -> kv "jur" j) a.jurisdictions
+    @ (match a.path_hops with
+      | None -> []
+      | Some (observed, optimal) ->
+        [ kv "path" (string_of_int observed ^ "," ^ string_of_int optimal) ])
+    @ List.map
+        (fun (id, rate) -> kv "meter" (string_of_int id ^ "," ^ string_of_int rate))
+        a.meters
+    @ List.concat_map
+        (fun (sw, port, hs) ->
+          List.map
+            (fun cube ->
+              kv "tf" (Printf.sprintf "%d,%d,%s" sw port (Hspace.Tern.to_string cube)))
+            (Hspace.Hs.cubes hs))
+        a.transfer
+    @ [ kv "age" (Printf.sprintf "%.9f" a.snapshot_age) ]
+  in
+  let body = String.concat "\n" lines in
+  body ^ "\n" ^ kv "sig" (Cryptosim.Keys.sign signer body)
+
+let prop_answer_bytes_match_reference =
+  QCheck2.Test.make ~name:"answer bytes = reference renderer" ~count:500 answer_gen
+    (fun a ->
+      String.equal
+        (Rvaas.Codec.encode_answer a ~signer:service_kp)
+        (reference_encode_answer a ~signer:service_kp))
 
 let answer_equal (a : Rvaas.Query.answer) (b : Rvaas.Query.answer) =
   a.nonce = b.nonce && a.kind = b.kind && a.endpoints = b.endpoints
@@ -1206,6 +1279,7 @@ let () =
           Alcotest.test_case "missing age" `Quick test_codec_answer_missing_age;
           Alcotest.test_case "malformed scopes" `Quick test_codec_malformed_scopes;
           QCheck_alcotest.to_alcotest prop_answer_roundtrip;
+          QCheck_alcotest.to_alcotest prop_answer_bytes_match_reference;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_auth_roundtrip;
         ] );
