@@ -2744,6 +2744,10 @@ let micro () =
   let cube_b = Hspace.Tern.random rng w ~fixed_prob:0.3 in
   (* A scope cube as the request codec carries it. *)
   let cube_text = Hspace.Tern.to_string cube_a in
+  (* Operands on which the predicates scan every word: a concrete
+     packet header, and the full cube as a superset. *)
+  let concrete = Hspace.Header.to_tern (Hspace.Header.random rng) in
+  let full = Hspace.Tern.all_x w in
   let hs_a =
     Hspace.Hs.of_cubes w (List.init 8 (fun _ -> Hspace.Tern.random rng w ~fixed_prob:0.3))
   in
@@ -2857,6 +2861,10 @@ let micro () =
       ("tern_inter", fun () -> ignore (Hspace.Tern.inter cube_a cube_b));
       ("tern_diff", fun () -> ignore (Hspace.Tern.diff cube_a cube_b));
       ("tern_of_string", fun () -> ignore (Hspace.Tern.of_string cube_text));
+      (* Predicates the header-space algebra calls on every cube. *)
+      ("tern_is_empty", fun () -> ignore (Hspace.Tern.is_empty cube_a));
+      ("tern_is_concrete", fun () -> ignore (Hspace.Tern.is_concrete concrete));
+      ("tern_subset", fun () -> ignore (Hspace.Tern.subset cube_a full));
       ("hs_inter", fun () -> ignore (Hspace.Hs.inter hs_a hs_b));
       ("hs_diff", fun () -> ignore (Hspace.Hs.diff hs_a hs_b));
       (* The slice filter's test, on [hs_inter]'s operands. *)

@@ -84,7 +84,8 @@ let subsume_arg =
     & info [ "subsume" ]
         ~doc:
           "Attach scope-contained reachability queries to a broader queued \
-           or in-flight computation as slices (implies $(b,--coalesce)); \
+           computation as slices (implies $(b,--coalesce); needs a positive \
+           $(b,--batch-window), since only queued questions take slices); \
            each still receives its own signed answer.")
 
 let limits_conv : Rvaas.Frontend.limits Arg.conv =
@@ -112,6 +113,15 @@ let limits_arg =
 
 let frontend_term =
   let make coalesce subsume batch_window limits =
+    (* Slices attach only to queued questions: without a settle tick
+       every query is flushed alone and [--subsume] could never act,
+       so asking for it is a usage error, reported before a deployment
+       is built. *)
+    if subsume && batch_window <= 0.0 then begin
+      prerr_endline
+        "rvaas-cli: option '--subsume': needs a settle tick ('--batch-window' > 0)";
+      exit Cmd.Exit.cli_error
+    end;
     if coalesce || subsume || batch_window > 0.0 || limits <> None then
       { Rvaas.Frontend.limits; coalesce = coalesce || subsume; batch_window; subsume }
     else Rvaas.Frontend.default_config

@@ -78,34 +78,32 @@ let set_masked t ~base ~len ~value ~mask =
   done;
   { t with words }
 
-let is_empty t =
-  let n = Array.length t.words in
-  let rec go k =
-    if k >= n then false
-    else
-      let w = t.words.(k) in
-      let valid = valid_mask t.width k in
-      (* A pair is 00 iff neither of its bits is set. *)
-      let occupied = (w lor (w lsr 1)) land evens_mask land valid in
-      if occupied <> evens_mask land valid then true else go (k + 1)
-  in
-  go 0
+(* A top-level scan, not a local loop: a local one would allocate its
+   closure on every call.  [concrete_from], [disjoint_from] and
+   [subset_from] follow suit. *)
+let rec empty_from width words k =
+  k < Array.length words
+  &&
+  let w = words.(k) in
+  let valid = evens_mask land valid_mask width k in
+  (* A pair is 00 iff neither of its bits is set. *)
+  (w lor (w lsr 1)) land valid <> valid || empty_from width words (k + 1)
+
+let is_empty t = empty_from t.width t.words 0
 
 let is_full t = Array.for_all (fun w -> w = full_word) t.words
 
-let is_concrete t =
-  let n = Array.length t.words in
-  let rec go k =
-    if k >= n then true
-    else
-      let w = t.words.(k) in
-      let valid = valid_mask t.width k in
-      (* Concrete: every valid pair is 01 or 10, i.e. exactly one bit set. *)
-      let lo = w land evens_mask and hi = (w lsr 1) land evens_mask in
-      let both = lo land hi land valid and none = lnot (lo lor hi) land evens_mask land valid in
-      if both <> 0 || none <> 0 then false else go (k + 1)
-  in
-  go 0
+let rec concrete_from width words k =
+  k >= Array.length words
+  ||
+  let w = words.(k) in
+  let valid = valid_mask width k in
+  (* Concrete: every valid pair is 01 or 10, i.e. exactly one bit set. *)
+  let lo = w land evens_mask and hi = (w lsr 1) land evens_mask in
+  let both = lo land hi land valid and none = lnot (lo lor hi) land evens_mask land valid in
+  both = 0 && none = 0 && concrete_from width words (k + 1)
+
+let is_concrete t = concrete_from t.width t.words 0
 
 let check_width name a b =
   if a.width <> b.width then invalid_arg (name ^ ": width mismatch")
@@ -120,9 +118,7 @@ let join a b =
 
 (* Non-allocating emptiness test of [inter a b]: word-wise [land] with
    an early exit on the first word containing a 00 pair.  Equivalent to
-   [not (overlaps a b)] without building the intermediate vector.  The
-   loop is a top-level function: a local one would allocate its
-   closure on every call. *)
+   [not (overlaps a b)] without building the intermediate vector. *)
 let rec disjoint_from width aw bw k =
   k < Array.length aw
   &&
@@ -183,17 +179,12 @@ let prefilter_disjoint pf c =
   in
   go 0
 
+let rec subset_from aw bw k =
+  k >= Array.length aw || (aw.(k) land bw.(k) = aw.(k) && subset_from aw bw (k + 1))
+
 let subset a b =
   check_width "Tern.subset" a b;
-  if is_empty a then true
-  else
-    let n = Array.length a.words in
-    let rec go k =
-      if k >= n then true
-      else if a.words.(k) land b.words.(k) <> a.words.(k) then false
-      else go (k + 1)
-    in
-    go 0
+  is_empty a || subset_from a.words b.words 0
 
 let overlaps a b = not (disjoint a b)
 

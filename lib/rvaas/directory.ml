@@ -30,15 +30,3 @@ let host_ip t ~host =
 
 let client_of_host t ~host =
   fold_hosts t (fun acc record h _ip -> if h = host then Some record.client else acc) None
-
-let access_points t topo ~client =
-  match find t ~client with
-  | None -> []
-  | Some record ->
-    List.filter_map
-      (fun (host, _ip) ->
-        match Netsim.Topology.host_attachment topo host with
-        | Some { Netsim.Topology.node = Netsim.Topology.Switch sw; port } -> Some (sw, port)
-        | Some _ | None -> None)
-      record.hosts
-    |> List.sort_uniq compare

@@ -36,7 +36,3 @@ val host_ip : t -> host:int -> int option
 (** [client_of_host t ~host] is the owning client of a registered
     host. *)
 val client_of_host : t -> host:int -> int option
-
-(** [access_points t topo ~client] derives the client's legitimate
-    access points from the trusted wiring plan. *)
-val access_points : t -> Netsim.Topology.t -> client:int -> (int * int) list

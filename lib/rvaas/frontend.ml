@@ -182,8 +182,6 @@ let admit t ~client ~now =
 
 let note_coalesced t = t.stats.coalesced <- t.stats.coalesced + 1
 
-let note_subsumed t = t.stats.subsumed <- t.stats.subsumed + 1
-
 let note_fallback t n =
   t.stats.batch_fallbacks <- t.stats.batch_fallbacks + n;
   t.stats.batches <- t.stats.batches - 1;

@@ -19,9 +19,8 @@
       one computation, keyed like {!Reach_cache.key} (injection point
       plus a structural hash of the scope, plus the query kind and —
       for client-dependent kinds — the client).  N clients asking the
-      same question cost one sweep or one {!Plumbing} lookup; each
-      still receives its own signed answer under its own nonce at
-      finalize.
+      same question cost one sweep; each still receives its own signed
+      answer under its own nonce at finalize.
     + {b subsumption} — a [Reachable_endpoints] query whose scope is
       contained in ({!Hspace.Hs.subset}) a queued computation at the
       same injection point attaches to it as a {!slice} instead of
@@ -30,7 +29,10 @@
       rewrites — the service falls back per query on taint).  This
       turns the waiters-on-key list into a waiters-on-computation
       graph: one broad computation can answer many distinct narrower
-      questions.
+      questions.  Slices attach only while both questions are queued
+      — at {!submit}, or when {!flush} folds a group — so in
+      {!Service} a settle tick ([batch_window > 0]) is what gives
+      them the chance.
     + {b batching} — queries that arrive within one settle tick
       ([batch_window]) and share an injection point are pooled: their
       scopes are unioned via {!Hspace.Hs.Builder}, one sweep runs over
@@ -57,8 +59,9 @@ type config = {
           flushes synchronously (no added latency, no batching). *)
   subsume : bool;
       (** attach scope-contained [Reachable_endpoints] queries to a
-          broader queued or in-flight computation as slice waiters
-          instead of evaluating them *)
+          broader queued computation as slice waiters instead of
+          evaluating them; a {!Service} with [batch_window = 0.]
+          flushes every query alone, so there nothing is subsumed *)
 }
 
 (** Everything off: admit all, evaluate per query, no settle tick —
@@ -125,8 +128,7 @@ type stats = {
           (pre-flush attach or in-flight join) instead of costing one *)
   mutable subsumed : int;
       (** admitted queries attached as slice waiters to a broader
-          computation (queued scan, flush-time fold, or in-flight
-          join) *)
+          queued computation (submit-time scan or flush-time fold) *)
   mutable entries : int;  (** computations handed to the service *)
   mutable batches : int;  (** flush groups that pooled >= 2 entries *)
   mutable batched : int;  (** entries inside such groups *)
@@ -168,11 +170,6 @@ val admit : 'w t -> client:int -> now:float -> bool
     a waiter to an already-evaluating computation (coalescing after
     the entry left the queue — this module only sees the queue). *)
 val note_coalesced : 'w t -> unit
-
-(** [note_subsumed t] records an in-flight subsumption join: the
-    service attached a slice waiter to an already-evaluating broader
-    computation. *)
-val note_subsumed : 'w t -> unit
 
 (** [note_fallback t n] records a pooled group of [n] entries that the
     service re-ran per entry (rewrite taint). *)

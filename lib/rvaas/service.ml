@@ -43,22 +43,12 @@ type requester = {
 (* A narrower query riding a broader computation: its endpoints are
    the subset of the subsumer's probes whose arrival space overlaps
    the slice scope, in probe order, its answer sliced out at the
-   shared finalize. *)
+   shared finalize.  Slices attach only in the front-end queue. *)
 type slice_pending = {
   sp_query : Query.t;  (* the sliced query, journalled for re-issue *)
   sp_base : Query.answer;
   sp_targets : Verifier.endpoint list;  (* subsequence of the subsumer's *)
   mutable sp_waiters : requester list;  (* newest first *)
-}
-
-(* What makes an in-flight computation joinable by narrower queries:
-   its injection point, the effective scope it evaluated, and the
-   arrival space per endpoint (exact — rewrite-tainted results are
-   never indexed). *)
-type cover = {
-  c_point : int * int;
-  c_scope : Hspace.Hs.t;
-  c_arrivals : (Verifier.endpoint * Hspace.Hs.t) list;
 }
 
 type pending = {
@@ -71,8 +61,6 @@ type pending = {
   probes : probe list;
   mutable requesters : requester list;  (* newest first *)
   mutable slices : slice_pending list;  (* newest first *)
-  cover : cover option;
-      (* [Some] iff indexed in [t.subsumable] for in-flight joins *)
   mutable finalized : bool;
       (* an early finalize (full quorum) races the scheduled one *)
   mutable deadline_at : float;
@@ -105,10 +93,6 @@ type t = {
   coalesced : pending Frontend.Key_table.t;
       (* in-flight computations by coalescing key: a query identical
          to one already evaluating joins it as an extra requester *)
-  subsumable : (int * int, pending list ref) Hashtbl.t;
-      (* in-flight [Reachable_endpoints] computations by injection
-         point whose arrival spaces are exact (untainted): a narrower
-         query at the same point joins one as a slice waiter *)
   queued_nonces : (string, unit) Hashtbl.t;
       (* nonces waiting in the front-end queue (batch_window > 0),
          not yet in [open_queries] — consulted by the duplicate-
@@ -333,21 +317,23 @@ let journal_record t record =
   | None -> ()
   | Some j -> Journal.append j ~at:(now t) ~snapshot:(Monitor.snapshot t.monitor) record
 
-(* Remove a finalized (or torn-down) computation from the in-flight
-   subsumption index. *)
-let drop_cover t (p : pending) =
-  match p.cover with
+(* Retire a finalized or torn-down computation: its challenges leave
+   [t.pending], so no reply can reach it again, and its coalescing slot
+   is released — only if still its own, as a later computation may
+   have taken the key over. *)
+let retire t (p : pending) =
+  p.finalized <- true;
+  List.iter (fun probe -> Hashtbl.remove t.pending probe.challenge) p.probes;
+  match p.key with
+  | Some k -> (
+    match Frontend.Key_table.find_opt t.coalesced k with
+    | Some q when q == p -> Frontend.Key_table.remove t.coalesced k
+    | _ -> ())
   | None -> ()
-  | Some c -> (
-    match Hashtbl.find_opt t.subsumable c.c_point with
-    | Some cell ->
-      cell := List.filter (fun q -> q != p) !cell;
-      if !cell = [] then Hashtbl.remove t.subsumable c.c_point
-    | None -> ())
 
 (* A slice's probes, in one pass.  [targets] is an ordered subsequence
    of the probes' targets: both are read off one arrival list, whose
-   endpoints are distinct ([open_reach], [try_subsume]). *)
+   endpoints are distinct ([open_reach]). *)
 let slice_probes probes (targets : Verifier.endpoint list) =
   let rec go acc probes targets =
     match probes, targets with
@@ -369,17 +355,7 @@ let finalize t (p : pending) =
          journal). *)
       ()
     else begin
-      p.finalized <- true;
-      List.iter (fun probe -> Hashtbl.remove t.pending probe.challenge) p.probes;
-      drop_cover t p;
-      (match p.key with
-      | Some k -> (
-        (* Only drop the coalescing slot if it is still ours — a
-           later computation may have taken the key over. *)
-        match Frontend.Key_table.find_opt t.coalesced k with
-        | Some q when q == p -> Frontend.Key_table.remove t.coalesced k
-        | _ -> ())
-      | None -> ());
+      retire t p;
       let answer_out template (r : requester) =
         (* Guarded removal: never evict a nonce that a newer pending
            owns (the duplicate-replay corruption this fan-out
@@ -473,23 +449,29 @@ let supersede t nonce =
             sp.sp_waiters)
       old.slices;
     old.slices <- List.filter (fun sp -> sp.sp_waiters <> []) old.slices;
-    if old.requesters = [] && old.slices = [] then begin
-      old.finalized <- true;
-      List.iter (fun probe -> Hashtbl.remove t.pending probe.challenge) old.probes;
-      drop_cover t old;
-      match old.key with
-      | Some k -> (
-        match Frontend.Key_table.find_opt t.coalesced k with
-        | Some q when q == old -> Frontend.Key_table.remove t.coalesced k
-        | _ -> ())
-      | None -> ()
-    end
+    if old.requesters = [] && old.slices = [] then retire t old
+
+(* Open [r]'s nonce on computation [p] and journal [query], the
+   question [r] asked, for a recovering standby to re-issue.  A nonce
+   still open on an older computation is detached from it first. *)
+let register t p query (r : requester) =
+  supersede t r.r_nonce;
+  Hashtbl.replace t.open_queries r.r_nonce p;
+  journal_record t
+    (Journal.Query_opened
+       {
+         q_nonce = r.r_nonce;
+         q_client = r.r_client;
+         q_sw = r.r_sw;
+         q_port = r.r_port;
+         q_ip = Some r.r_ip;
+         q_query = query;
+       })
 
 (* Open one computation for [requesters] (already evaluated to [base]
    + probe [targets]) — plus any [slices] riding it — and drive its
-   auth-probe round.  A [cover] indexes the computation in
-   [t.subsumable] so later narrower queries can join it in flight. *)
-let open_with t ~key ~query ~base ~targets ?(slices = []) ?cover ~requesters () =
+   auth-probe round. *)
+let open_with t ~key ~query ~base ~targets ?(slices = []) ~requesters () =
   let probes =
     List.map
       (fun target ->
@@ -511,45 +493,18 @@ let open_with t ~key ~query ~base ~targets ?(slices = []) ?cover ~requesters () 
       probes;
       requesters;
       slices;
-      cover;
       finalized = false;
       deadline_at = 0.0;
     }
   in
-  let register query (r : requester) =
-    supersede t r.r_nonce;
-    Hashtbl.replace t.open_queries r.r_nonce p;
-    journal_record t
-      (Journal.Query_opened
-         {
-           q_nonce = r.r_nonce;
-           q_client = r.r_client;
-           q_sw = r.r_sw;
-           q_port = r.r_port;
-           q_ip = Some r.r_ip;
-           q_query = query;
-         })
-  in
-  List.iter (register query) (List.rev requesters);
+  List.iter (register t p query) (List.rev requesters);
   (* Slice waiters journal their own (narrower) query: a recovering
      standby re-issues the question the client actually asked, not the
      broader computation it happened to ride. *)
   List.iter
-    (fun sp -> List.iter (register sp.sp_query) (List.rev sp.sp_waiters))
+    (fun sp -> List.iter (register t p sp.sp_query) (List.rev sp.sp_waiters))
     (List.rev slices);
   (match key with Some k -> Frontend.Key_table.replace t.coalesced k p | None -> ());
-  (match cover with
-  | Some c ->
-    let cell =
-      match Hashtbl.find_opt t.subsumable c.c_point with
-      | Some cell -> cell
-      | None ->
-        let cell = ref [] in
-        Hashtbl.replace t.subsumable c.c_point cell;
-        cell
-    in
-    cell := p :: !cell
-  | None -> ());
   if probes = [] then finalize t p
   else begin
     List.iter (fun probe -> Hashtbl.replace t.pending probe.challenge p) probes;
@@ -565,11 +520,11 @@ let open_query t ~client ~nonce ~sw ~port ~ip query =
     ~requesters:[ { r_nonce = nonce; r_client = client; r_sw = sw; r_port = port; r_ip = ip } ]
     ()
 
-(* A rewrite anywhere on the swept region makes the union split
-   unsound: arrival spaces of the pooled sweep may mix headers that
-   entered under different members' scopes.  Conservative and cheap —
-   scan the traversed switches (a superset of any member's traversal)
-   for rewriting actions. *)
+(* A rewrite anywhere on the swept region makes sharing the sweep
+   unsound: its arrival spaces may mix headers that entered under
+   different questions' scopes.  Conservative and cheap — scan the
+   traversed switches (a superset of any member's traversal) for
+   rewriting actions. *)
 let union_tainted t (r : Verifier.reach_result) =
   let snapshot = Monitor.snapshot t.monitor in
   List.exists
@@ -580,18 +535,25 @@ let union_tainted t (r : Verifier.reach_result) =
         (Snapshot.flows snapshot ~sw))
     r.Verifier.traversed
 
+(* The arrivals whose space overlaps [scope], in arrival order: a batch
+   member's share of the pooled sweep, or a slice's share of its
+   subsumer's. *)
+let arrivals_in arrivals scope =
+  List.filter
+    (fun ((_ : Verifier.endpoint), arrival) -> Hspace.Hs.overlaps arrival scope)
+    arrivals
+
 (* Open a [Reachable_endpoints] computation whose arrival spaces are
-   in hand, together with the slices riding it.  Untainted results are
-   indexed ([cover]) for in-flight subsumption.  A rewrite on the
-   region makes the slice intersection unsound, so — mirroring
-   [open_batch]'s fallback — the subsumer still answers its own
-   waiters exactly while every slice re-runs as its own per-query
+   in hand, together with the slices riding it.  A rewrite on the
+   region ([tainted]) makes the slice selection unsound, so —
+   mirroring [open_batch]'s fallback — the subsumer still answers its
+   own waiters exactly while every slice re-runs as its own per-query
    computation. *)
-let open_reach t ~key ~(query : Query.t) ~sw ~port ~scope ~arrivals ~tainted
+let open_reach t ~key ~(query : Query.t) ~sw ~port ~arrivals ~tainted
     ~(requesters : requester list) ~(slices : requester Frontend.slice list) =
   let base = empty_answer t ~nonce:(fresh_hex t) ~kind:query.Query.kind in
   let targets = List.map fst arrivals in
-  if tainted && slices <> [] then begin
+  if tainted then begin
     Frontend.note_slice_fallback t.frontend (List.length slices);
     open_with t ~key ~query ~base ~targets ~requesters ();
     List.iter
@@ -606,7 +568,7 @@ let open_reach t ~key ~(query : Query.t) ~sw ~port ~scope ~arrivals ~tainted
             ~requesters:sl.Frontend.sl_waiters ())
       slices
   end
-  else begin
+  else
     let slices =
       List.map
         (fun (sl : requester Frontend.slice) ->
@@ -615,38 +577,31 @@ let open_reach t ~key ~(query : Query.t) ~sw ~port ~scope ~arrivals ~tainted
             sp_base =
               empty_answer t ~nonce:(fresh_hex t)
                 ~kind:sl.Frontend.sl_query.Query.kind;
-            sp_targets =
-              List.filter_map
-                (fun (ep, arrival) ->
-                  if Hspace.Hs.overlaps arrival sl.Frontend.sl_scope then Some ep
-                  else None)
-                arrivals;
+            sp_targets = List.map fst (arrivals_in arrivals sl.Frontend.sl_scope);
             sp_waiters = sl.Frontend.sl_waiters;
           })
         slices
     in
-    let cover =
-      if tainted then None
-      else Some { c_point = (sw, port); c_scope = scope; c_arrivals = arrivals }
-    in
-    open_with t ~key ~query ~base ~targets ~slices ?cover ~requesters ()
-  end
+    open_with t ~key ~query ~base ~targets ~slices ~requesters ()
 
 (* A flushed front-end entry: one evaluation with the leader's
-   coordinates, answers fanned out to every attached waiter.  With
-   subsumption on, [Reachable_endpoints] evaluates through [reach]
-   directly so the arrival spaces are in hand for the entry's slices
-   and the in-flight index — same [base], same [targets], byte for
-   byte, as the [evaluate] path it bypasses. *)
+   coordinates, answers fanned out to every attached waiter.
+   [Reachable_endpoints] evaluates through [reach] directly, so the
+   arrival spaces are in hand for the entry's slices — same [base],
+   same [targets], byte for byte, as [evaluate].  The taint scan
+   matters only to slices: the entry's own answer is exact either
+   way. *)
 let open_entry t (e : requester Frontend.entry) =
-  let cfg = Frontend.config t.frontend in
-  let key = if cfg.coalesce then Some e.e_key else None in
+  let key = if (Frontend.config t.frontend).coalesce then Some e.e_key else None in
   match e.e_query.Query.kind with
-  | Query.Reachable_endpoints when cfg.subsume ->
-    let scope = effective_scope e.e_query.Query.scope in
-    let r = reach t ~src_sw:e.e_sw ~src_port:e.e_port ~hs:scope in
-    open_reach t ~key ~query:e.e_query ~sw:e.e_sw ~port:e.e_port ~scope
-      ~arrivals:r.Verifier.endpoints ~tainted:(union_tainted t r)
+  | Query.Reachable_endpoints ->
+    let r =
+      reach t ~src_sw:e.e_sw ~src_port:e.e_port
+        ~hs:(effective_scope e.e_query.Query.scope)
+    in
+    open_reach t ~key ~query:e.e_query ~sw:e.e_sw ~port:e.e_port
+      ~arrivals:r.Verifier.endpoints
+      ~tainted:(e.e_slices <> [] && union_tainted t r)
       ~requesters:e.e_waiters ~slices:e.e_slices
   | _ ->
     let base, targets =
@@ -655,16 +610,19 @@ let open_entry t (e : requester Frontend.entry) =
     open_with t ~key ~query:e.e_query ~base ~targets ~requesters:e.e_waiters ()
 
 (* A batch of [Reachable_endpoints] entries sharing one injection
-   point: union the scopes, run one sweep over the union, split the
-   arrival spaces back per member.  Exact absent rewrites — forward
-   propagation is linear in the injected set, so
+   point: union the scopes, run one sweep over the union, and give
+   each member the arrivals that overlap its own scope.  Exact absent
+   rewrites — forward propagation is linear in the injected set, so
    [arrival(S1) = arrival(S1 ∪ S2) ∩ S1] cube by cube; with rewrites
-   on the region, fall back to per-entry evaluation. *)
+   on the region, fall back to per-entry evaluation.  A member's
+   slices select from the unrestricted arrivals: a slice's scope lies
+   inside its member's, so the overlap test picks the same endpoints
+   as it would from the member's intersected share. *)
 let open_batch t (es : requester Frontend.entry list) =
   match es with
   | [] -> ()
   | (first : requester Frontend.entry) :: _ ->
-    let cfg = Frontend.config t.frontend in
+    let coalesce = (Frontend.config t.frontend).coalesce in
     let scopes =
       List.map
         (fun (e : requester Frontend.entry) -> effective_scope e.e_query.Query.scope)
@@ -683,34 +641,11 @@ let open_batch t (es : requester Frontend.entry list) =
     else
       List.iter2
         (fun (e : requester Frontend.entry) scope ->
-          let key = if cfg.coalesce then Some e.e_key else None in
-          if cfg.subsume then
-            (* Per-member arrival spaces by intersection — same
-               endpoint set as the [overlaps] filter, but exact
-               arrivals to feed this member's slices and the
-               in-flight subsumption index. *)
-            let arrivals =
-              List.filter_map
-                (fun ((ep : Verifier.endpoint), arrival) ->
-                  let i = Hspace.Hs.inter arrival scope in
-                  if Hspace.Hs.is_empty i then None else Some (ep, i))
-                r.Verifier.endpoints
-            in
-            open_reach t ~key ~query:e.e_query ~sw:e.e_sw ~port:e.e_port ~scope
-              ~arrivals ~tainted:false ~requesters:e.e_waiters
-              ~slices:e.e_slices
-          else
-            let targets =
-              List.filter_map
-                (fun ((ep : Verifier.endpoint), arrival) ->
-                  if Hspace.Hs.overlaps arrival scope then Some ep else None)
-                r.Verifier.endpoints
-            in
-            let base =
-              empty_answer t ~nonce:(fresh_hex t) ~kind:e.e_query.Query.kind
-            in
-            open_with t ~key ~query:e.e_query ~base ~targets
-              ~requesters:e.e_waiters ())
+          open_reach t
+            ~key:(if coalesce then Some e.e_key else None)
+            ~query:e.e_query ~sw:e.e_sw ~port:e.e_port
+            ~arrivals:(arrivals_in r.Verifier.endpoints scope)
+            ~tainted:false ~requesters:e.e_waiters ~slices:e.e_slices)
         es scopes
 
 let flush_frontend t =
@@ -730,68 +665,10 @@ let try_join t key (r : requester) =
   match Frontend.Key_table.find_opt t.coalesced key with
   | Some p when not p.finalized ->
     p.requesters <- r :: p.requesters;
-    Hashtbl.replace t.open_queries r.r_nonce p;
-    journal_record t
-      (Journal.Query_opened
-         {
-           q_nonce = r.r_nonce;
-           q_client = r.r_client;
-           q_sw = r.r_sw;
-           q_port = r.r_port;
-           q_ip = Some r.r_ip;
-           q_query = p.query;
-         });
+    register t p p.query r;
     Frontend.note_coalesced t.frontend;
     true
   | _ -> false
-
-(* Ride an in-flight broader computation at the same injection point:
-   the narrower query becomes a slice answered at the shared finalize,
-   costing no evaluation and no probes of its own. *)
-let try_subsume t ~sw ~port ~scope query (r : requester) =
-  match Hashtbl.find_opt t.subsumable (sw, port) with
-  | None -> false
-  | Some cell -> (
-    match
-      List.find_opt
-        (fun p ->
-          (not p.finalized)
-          &&
-          match p.cover with
-          | Some c -> Hspace.Hs.subset scope c.c_scope
-          | None -> false)
-        !cell
-    with
-    | None -> false
-    | Some p ->
-      let c = Option.get p.cover in
-      let targets =
-        List.filter_map
-          (fun (ep, arrival) ->
-            if Hspace.Hs.overlaps arrival scope then Some ep else None)
-          c.c_arrivals
-      in
-      p.slices <-
-        {
-          sp_query = query;
-          sp_base = empty_answer t ~nonce:(fresh_hex t) ~kind:query.Query.kind;
-          sp_targets = targets;
-          sp_waiters = [ r ];
-        }
-        :: p.slices;
-      Hashtbl.replace t.open_queries r.r_nonce p;
-      journal_record t
-        (Journal.Query_opened
-           {
-             q_nonce = r.r_nonce;
-             q_client = r.r_client;
-             q_sw = r.r_sw;
-             q_port = r.r_port;
-             q_ip = Some r.r_ip;
-             q_query = query;
-           });
-      Frontend.note_subsumed t.frontend;
-      true)
 
 let send_throttled t ~nonce ~sw ~port ~ip ~kind =
   let answer = { (empty_answer t ~nonce ~kind) with Query.throttled = true } in
@@ -817,36 +694,31 @@ let accept_request t ~client ~nonce ~sw ~port ~ip (query : Query.t) =
     let r = { r_nonce = nonce; r_client = client; r_sw = sw; r_port = port; r_ip = ip } in
     let cfg = Frontend.config t.frontend in
     let key = Frontend.key_of ~client ~sw ~port query in
-    if cfg.coalesce && try_join t key r then ()
-    else begin
-      (* Subsumption works on the effective scope the evaluation would
-         run — computed here only for the batchable kind, only when
-         the policy is on. *)
+    if not (cfg.coalesce && try_join t key r) then
+      (* The submit-time subsumption scan runs on the effective scope
+         the evaluation would run — computed here only for the
+         batchable kind, only when the policy is on. *)
       let scope =
         match query.Query.kind with
         | Query.Reachable_endpoints when cfg.subsume ->
           Some (effective_scope query.Query.scope)
         | _ -> None
       in
-      match scope with
-      | Some s when try_subsume t ~sw ~port ~scope:s query r -> ()
-      | _ -> (
-        match
-          Frontend.submit t.frontend ~key ?scope ~client ~sw ~port query ~waiter:r
-        with
-        | `Coalesced | `Subsumed | `Queued `Later ->
-          Hashtbl.replace t.queued_nonces nonce ()
-        | `Queued `First ->
-          if cfg.batch_window > 0.0 then begin
-            Hashtbl.replace t.queued_nonces nonce ();
-            Netsim.Sim.schedule (Netsim.Net.sim t.net) ~delay:cfg.batch_window
-              (fun () -> flush_frontend t)
-          end
-          else
-            (* No settle tick: flush synchronously, exactly the
-               pre-frontend per-request behaviour. *)
-            flush_frontend t)
-    end
+      match
+        Frontend.submit t.frontend ~key ?scope ~client ~sw ~port query ~waiter:r
+      with
+      | `Coalesced | `Subsumed | `Queued `Later ->
+        Hashtbl.replace t.queued_nonces nonce ()
+      | `Queued `First ->
+        if cfg.batch_window > 0.0 then begin
+          Hashtbl.replace t.queued_nonces nonce ();
+          Netsim.Sim.schedule (Netsim.Net.sim t.net) ~delay:cfg.batch_window
+            (fun () -> flush_frontend t)
+        end
+        else
+          (* No settle tick: flush synchronously, exactly the
+             pre-frontend per-request behaviour. *)
+          flush_frontend t
   end
 
 let inject_query t ~client ~nonce ~sw ~port ~ip query =
@@ -999,7 +871,6 @@ let create ?(retry = no_retry) ?(frontend = Frontend.default_config) net monitor
       open_queries = Hashtbl.create 16;
       frontend = Frontend.create frontend;
       coalesced = Frontend.Key_table.create 16;
-      subsumable = Hashtbl.create 16;
       queued_nonces = Hashtbl.create 16;
       measurement = Cryptosim.Attest.measure ~code_identity;
       ctx;

@@ -87,11 +87,13 @@ type t
     finalize), per-injection-point batching of queries arriving within
     one [batch_window], and — with [frontend.subsume] — semantic
     subsumption: a [Reachable_endpoints] query whose effective scope
-    is contained in a queued or in-flight computation at the same
-    injection point rides it as a slice, its answer cut out of the
-    subsumer's arrival spaces at the shared finalize (rewrite-tainted
-    regions fall back to per-query evaluation).  Recovery re-issues
-    ({!reissue}) bypass it.
+    is contained in a queued computation at the same injection point
+    rides it as a slice, its answer cut out of the subsumer's arrival
+    spaces at the shared finalize (rewrite-tainted regions fall back
+    to per-query evaluation).  Slices attach only in the front-end
+    queue, so the service subsumes only with a positive
+    [batch_window]; an identical query still joins a computation in
+    flight.  Recovery re-issues ({!reissue}) bypass it.
     @raise Invalid_argument on a retry policy with [attempts < 1], a
     negative [base_delay], or an invalid front-end config (see
     {!Frontend.create}). *)

@@ -55,9 +55,10 @@ val digest : t -> int64
 (** [switch_digest t ~sw] is a fingerprint of [sw]'s believed rule list
     alone: {!flows_digest} of {!flows} (0 when never heard of).
     Memoised per view and recomputed lazily, in one pass over that
-    switch's rules, after the next mutation of that switch — the key
-    material of the incremental result cache ({!Reach_cache}) and the
-    digest a {!Monitor.Poll} records. *)
+    switch's rules, after the next mutation of that switch — what
+    {!Monitor} compares around each observation to tell its listeners
+    whether the view changed, and the digest a {!Monitor.Poll}
+    records. *)
 val switch_digest : t -> sw:int -> int64
 
 (** [flows_digest specs] is the order-sensitive rule-list fingerprint

@@ -120,9 +120,6 @@ let range_of_ip t ~ip =
     | Some state ->
       List.find_opt (fun r -> ip land range_block_mask r.r_prefix_len = r.r_base) state.ranges
 
-let client_name t ~client =
-  Option.map (fun s -> s.name) (Hashtbl.find_opt t.client_table client)
-
 let clients t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.client_table [] |> List.sort compare
 
@@ -164,7 +161,3 @@ let access_points t topo ~client =
          | Some { Netsim.Topology.node = Netsim.Topology.Switch sw; port } -> Some (sw, port)
          | Some _ | None -> None)
   |> List.sort_uniq compare
-
-let pp_ip fmt ip =
-  Format.fprintf fmt "%d.%d.%d.%d" ((ip lsr 24) land 0xFF) ((ip lsr 16) land 0xFF)
-    ((ip lsr 8) land 0xFF) (ip land 0xFF)

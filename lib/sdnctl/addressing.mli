@@ -67,9 +67,6 @@ val resolve_ip : t -> ip:int -> host_info option
     range (gateways count once, through their range). *)
 val address_count : t -> int
 
-(** [client_name t ~client] looks a client's name up. *)
-val client_name : t -> client:int -> string option
-
 (** [clients t] lists client ids, ascending. *)
 val clients : t -> int list
 
@@ -97,5 +94,3 @@ val client_of_ip : t -> ip:int -> int option
 (** [access_points t net_topo ~client] lists the (switch, port)
     attachment points of the client's hosts. *)
 val access_points : t -> Netsim.Topology.t -> client:int -> (int * int) list
-
-val pp_ip : Format.formatter -> int -> unit

@@ -94,8 +94,6 @@ let base_gen t = t.base_gen
 
 let base_checksum t = t.base_checksum
 
-let tail_checksum t = t.tail_checksum
-
 let last_seq t = t.next_seq - 1
 
 let last_at t = match t.rev_entries with [] -> None | e :: _ -> Some e.at

@@ -82,11 +82,6 @@ val base_gen : t -> int
     retained entry's link hashes over. *)
 val base_checksum : t -> int64
 
-(** [tail_checksum t] is the chain state after the newest entry (equal
-    to {!base_checksum} when empty) — the chain base a segmented
-    backend records for a segment starting at the current tail. *)
-val tail_checksum : t -> int64
-
 (** [last_seq t] is the sequence number of the newest entry
     ([base_seq t - 1] when empty). *)
 val last_seq : t -> int

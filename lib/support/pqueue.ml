@@ -73,7 +73,3 @@ let pop q =
   end
 
 let peek q = if q.size = 0 then None else Some (q.heap.(0).prio, q.heap.(0).value)
-
-let clear q =
-  q.heap <- [||];
-  q.size <- 0

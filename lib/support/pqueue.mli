@@ -24,5 +24,3 @@ val pop : 'a t -> (float * 'a) option
 (** [peek q] returns the minimum element without removing it. *)
 val peek : 'a t -> (float * 'a) option
 
-(** [clear q] removes all elements. *)
-val clear : 'a t -> unit

@@ -15,8 +15,6 @@ let create seed = { state = mix (Int64.of_int seed) }
 
 let split t = { state = mix (next t) }
 
-let copy t = { state = t.state }
-
 let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =

@@ -15,9 +15,6 @@ val create : int -> t
     subsequent draws from [t]. *)
 val split : t -> t
 
-(** [copy t] duplicates the current state (same future stream). *)
-val copy : t -> t
-
 (** [bits t] returns 62 uniformly distributed bits as a non-negative int. *)
 val bits : t -> int
 

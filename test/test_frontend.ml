@@ -407,43 +407,149 @@ let subsume_round s (pt : Rvaas.Verifier.endpoint) ~broad ~narrow =
   in
   (find n_broad, find n_narrow)
 
-(* Random subsumer/subsumee pairs: the broad scope is a union of
-   destination-host cubes, the narrow scope one of those cubes — so
-   containment holds by construction and the answers can be checked
-   against [Verifier_ref] independently of the subsumption machinery.
-   With [attack] set, an exfiltration rewrite taints the region and the
-   service must fall back to per-query evaluation — same verdicts. *)
-let prop_subsume_parity ?attack ~name () =
-  let topo = Workload.Topogen.linear p 5 in
-  let s =
-    Workload.Scenario.build
-      (spec_with topo (fun d ->
-           { d with frontend = F.coalescing ~batch_window:0.002 ~subsume:true () }))
+(* One tenant on a line of six switches, a host on each: the first
+   access point (host 0) reaches hosts 1-5, in hop order.  Subsumption
+   on, with a settle tick for the queue to attach slices in. *)
+let line_of_six () =
+  Workload.Scenario.build
+    (spec_with (Workload.Topogen.linear p 6) (fun d ->
+         {
+           d with
+           clients = 1;
+           frontend = F.coalescing ~batch_window:0.002 ~subsume:true ();
+         }))
+
+let scope_of_hosts s hosts =
+  List.fold_left
+    (fun acc h -> Hspace.Hs.union acc (scope_b (ip_of s ~host:h)))
+    (Hspace.Hs.empty Hspace.Field.total_width)
+    hosts
+
+(* [inner] is spread out inside [outer]: at least one endpoint of
+   [outer] that is not in [inner] lies between two of [inner]'s, in
+   [outer]'s order — the probe order its answer reports. *)
+let spread_inside ~outer ~inner =
+  let rec after_first = function
+    | [] -> []
+    | ep :: rest -> if List.mem ep inner then rest else after_first rest
   in
+  let rec gap_then_member seen_gap = function
+    | [] -> false
+    | ep :: rest ->
+      if List.mem ep inner then seen_gap || gap_then_member false rest
+      else gap_then_member true rest
+  in
+  gap_then_member false (after_first outer)
+
+let answer_points (a : Rvaas.Query.answer) =
+  List.map
+    (fun (ep : Rvaas.Query.endpoint_report) -> (ep.sw, ep.port))
+    a.Rvaas.Query.endpoints
+
+(* Random subsumer/subsumee pairs, scopes built from destination-host
+   cubes.  The narrow scope names hosts [lo] and [hi], two or more hops
+   apart, and random others; the broad scope adds a host [g] strictly
+   between them and random others.  So every case has a slice reaching
+   two or more hosts that are not adjacent in probe order, and a slice
+   selection that drops or stops at a target mismatch shows on every
+   case.  Containment holds by construction, and the answers are
+   checked against [Verifier_ref] independently of the subsumption
+   machinery.  With [attack] set, an exfiltration rewrite taints the
+   region and the service must fall back to per-query evaluation —
+   same verdicts. *)
+let prop_subsume_parity ?attack ~name () =
+  let s = line_of_six () in
   (match attack with
   | Some a ->
     Sdnctl.Attack.launch s.net s.addressing ~conn:(Sdnctl.Provider.conn s.provider) a
   | None -> ());
   settle s;
   let pt = first_point s in
+  let fs = Rvaas.Service.frontend_stats s.service in
+  let hosts_in mask = List.filter (fun h -> (mask lsr h) land 1 = 1) [ 0; 1; 2; 3; 4; 5 ] in
   QCheck2.Test.make ~name ~count:8
-    QCheck2.Gen.(pair (int_range 1 31) (int_range 0 100))
-    (fun (mask, pick) ->
-      let subset = List.filter (fun h -> (mask lsr h) land 1 = 1) [ 0; 1; 2; 3; 4 ] in
-      let broad =
-        List.fold_left
-          (fun acc h -> Hspace.Hs.union acc (scope_b (ip_of s ~host:h)))
-          (Hspace.Hs.empty Hspace.Field.total_width)
-          subset
+    QCheck2.Gen.(quad (int_range 1 3) (int_bound 99) (int_bound 63) (int_bound 63))
+    (fun (lo, pick, narrow_mask, broad_mask) ->
+      let hi = lo + 2 + (pick mod (4 - lo)) in
+      let g = lo + 1 + (pick / 4 mod (hi - lo - 1)) in
+      let narrow_hosts =
+        lo :: hi :: List.filter (fun h -> h <> g) (hosts_in narrow_mask)
       in
-      let narrow = scope_b (ip_of s ~host:(List.nth subset (pick mod List.length subset))) in
+      let broad = scope_of_hosts s ((g :: narrow_hosts) @ hosts_in broad_mask) in
+      let narrow = scope_of_hosts s narrow_hosts in
+      let subsumed = fs.F.subsumed in
       match subsume_round s pt ~broad ~narrow with
       | Some ob, Some on ->
-        ob.Rvaas.Client_agent.signature_ok
+        let oracle_narrow = oracle_points s pt narrow in
+        fs.F.subsumed = subsumed + 1
+        && ob.Rvaas.Client_agent.signature_ok
         && on.Rvaas.Client_agent.signature_ok
+        && (attack <> None
+           || spread_inside ~outer:(answer_points ob.Rvaas.Client_agent.answer)
+                ~inner:oracle_narrow)
         && endpoint_points ob.Rvaas.Client_agent.answer = oracle_points s pt broad
-        && endpoint_points on.Rvaas.Client_agent.answer = oracle_points s pt narrow
+        && endpoint_points on.Rvaas.Client_agent.answer = oracle_narrow
       | _ -> false)
+
+(* ---- system: a pooled batch slices per member ---- *)
+
+(* Two incomparable broad scopes at one access point, each with a
+   spread-out slice, in one settle tick: the flush pools the two broad
+   questions into one sweep, and each member's slice must be cut from
+   that member's share of it. *)
+let test_service_batched_slices () =
+  let s = line_of_six () in
+  settle s;
+  let pt = first_point s in
+  let broad_1 = [ 1; 2; 3 ] and slice_1 = [ 1; 3 ] in
+  let broad_2 = [ 2; 3; 4; 5 ] and slice_2 = [ 2; 5 ] in
+  let agent = Workload.Scenario.agent s ~host:pt.Rvaas.Verifier.host in
+  let outcomes = ref [] in
+  Rvaas.Client_agent.set_answer_callback agent (fun o -> outcomes := o :: !outcomes);
+  let asked =
+    List.map
+      (fun hosts ->
+        let scope = scope_of_hosts s hosts in
+        ( scope,
+          Rvaas.Client_agent.send_query agent
+            (Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints) ))
+      [ broad_1; broad_2; slice_1; slice_2 ]
+  in
+  settle s;
+  let answer nonce =
+    match
+      List.find_opt
+        (fun (o : Rvaas.Client_agent.outcome) ->
+          String.equal o.answer.Rvaas.Query.nonce nonce)
+        !outcomes
+    with
+    | Some o ->
+      check Alcotest.bool "signed" true o.Rvaas.Client_agent.signature_ok;
+      o.Rvaas.Client_agent.answer
+    | None -> Alcotest.fail "question unanswered"
+  in
+  List.iteri
+    (fun i (scope, nonce) ->
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "question %d: verdict equals the oracle's" i)
+        (oracle_points s pt scope)
+        (endpoint_points (answer nonce)))
+    asked;
+  (match asked with
+  | [ (_, b1); (_, b2); (sc1, _); (sc2, _) ] ->
+    check Alcotest.bool "slice 1 spread out in its member's probes" true
+      (spread_inside ~outer:(answer_points (answer b1)) ~inner:(oracle_points s pt sc1));
+    check Alcotest.bool "slice 2 spread out in its member's probes" true
+      (spread_inside ~outer:(answer_points (answer b2)) ~inner:(oracle_points s pt sc2))
+  | _ -> assert false);
+  let fs = Rvaas.Service.frontend_stats s.service in
+  check Alcotest.int "two computations" 2 fs.F.entries;
+  check Alcotest.int "pooled into one batch" 2 fs.F.batched;
+  check Alcotest.int "both slices attached" 2 fs.F.subsumed;
+  check Alcotest.int "no batch fallback" 0 fs.F.batch_fallbacks;
+  check Alcotest.int "no slice fallback" 0 fs.F.slice_fallbacks;
+  check Alcotest.int "no open queries" 0 (Rvaas.Service.open_query_count s.service)
 
 (* ---- system: the subsumption counters on the served path ---- *)
 
@@ -557,6 +663,8 @@ let () =
             test_service_throttle_signed;
           Alcotest.test_case "batch parity (sweep)" `Quick batch_parity;
           Alcotest.test_case "subsumption fan-in" `Quick test_service_subsume_fanin;
+          Alcotest.test_case "batched slices per member" `Quick
+            test_service_batched_slices;
           Alcotest.test_case "taint fallback" `Quick
             test_service_subsume_taint_fallback;
           Alcotest.test_case "throttled never subsumed" `Quick

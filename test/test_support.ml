@@ -145,27 +145,6 @@ let test_ring_fold_clear () =
   Support.Ring.clear r;
   check Alcotest.int "cleared" 0 (Support.Ring.length r)
 
-(* ---- Stats ---- *)
-
-let test_stats_mean_stddev () =
-  check (Alcotest.float 1e-9) "mean" 2.0 (Support.Stats.mean [ 1.0; 2.0; 3.0 ]);
-  check (Alcotest.float 1e-9) "mean empty" 0.0 (Support.Stats.mean []);
-  check (Alcotest.float 1e-9) "stddev constant" 0.0 (Support.Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check (Alcotest.float 1e-6) "stddev" (sqrt (2.0 /. 3.0))
-    (Support.Stats.stddev [ 1.0; 2.0; 3.0 ])
-
-let test_stats_percentile () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  check (Alcotest.float 1e-9) "p50" 50.0 (Support.Stats.percentile 50.0 xs);
-  check (Alcotest.float 1e-9) "p99" 99.0 (Support.Stats.percentile 99.0 xs);
-  check (Alcotest.float 1e-9) "p100" 100.0 (Support.Stats.percentile 100.0 xs)
-
-let test_stats_minmax_histogram () =
-  check (Alcotest.float 1e-9) "min" 1.0 (Support.Stats.minimum [ 3.0; 1.0; 2.0 ]);
-  check (Alcotest.float 1e-9) "max" 3.0 (Support.Stats.maximum [ 3.0; 1.0; 2.0 ]);
-  let h = Support.Stats.histogram ~buckets:2 ~lo:0.0 ~hi:10.0 [ 1.0; 2.0; 9.0 ] in
-  check (Alcotest.array Alcotest.int) "histogram" [| 2; 1 |] h
-
 (* ---- qcheck properties ---- *)
 
 let prop_pqueue_sorted =
@@ -223,11 +202,5 @@ let () =
           Alcotest.test_case "find" `Quick test_ring_find;
           Alcotest.test_case "fold and clear" `Quick test_ring_fold_clear;
           QCheck_alcotest.to_alcotest prop_ring_suffix;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "mean/stddev" `Quick test_stats_mean_stddev;
-          Alcotest.test_case "percentile" `Quick test_stats_percentile;
-          Alcotest.test_case "minmax/histogram" `Quick test_stats_minmax_histogram;
         ] );
     ]
