@@ -2748,6 +2748,7 @@ let micro () =
      packet header, and the full cube as a superset. *)
   let concrete = Hspace.Header.to_tern (Hspace.Header.random rng) in
   let full = Hspace.Tern.all_x w in
+  let pre_a = Hspace.Tern.prefilter cube_a in
   let hs_a =
     Hspace.Hs.of_cubes w (List.init 8 (fun _ -> Hspace.Tern.random rng w ~fixed_prob:0.3))
   in
@@ -2865,6 +2866,10 @@ let micro () =
       ("tern_is_empty", fun () -> ignore (Hspace.Tern.is_empty cube_a));
       ("tern_is_concrete", fun () -> ignore (Hspace.Tern.is_concrete concrete));
       ("tern_subset", fun () -> ignore (Hspace.Tern.subset cube_a full));
+      (* The guard test of every rule visit, against a space it cannot
+         reject, so every required word is read. *)
+      ( "tern_prefilter_disjoint",
+        fun () -> ignore (Hspace.Tern.prefilter_disjoint pre_a full) );
       ("hs_inter", fun () -> ignore (Hspace.Hs.inter hs_a hs_b));
       ("hs_diff", fun () -> ignore (Hspace.Hs.diff hs_a hs_b));
       (* The slice filter's test, on [hs_inter]'s operands. *)
@@ -2917,7 +2922,7 @@ let micro () =
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:None () in
   let instance = Toolkit.Instance.monotonic_clock in
-  Printf.printf "%-22s %15s %18s\n" "kernel" "ns/call" "minor words/call";
+  Printf.printf "%-24s %15s %18s\n" "kernel" "ns/call" "minor words/call";
   List.iter
     (fun (kname, f) ->
       let test = Test.make ~name:kname (Staged.stage f) in
@@ -2928,8 +2933,8 @@ let micro () =
       Hashtbl.iter
         (fun name ols_result ->
           match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] -> Printf.printf "%-22s %15.1f %18.0f\n" name ns alloc
-          | Some _ | None -> Printf.printf "%-22s %15s %18.0f\n" name "n/a" alloc)
+          | Some [ ns ] -> Printf.printf "%-24s %15.1f %18.0f\n" name ns alloc
+          | Some _ | None -> Printf.printf "%-24s %15s %18.0f\n" name "n/a" alloc)
         results)
     kernels
 

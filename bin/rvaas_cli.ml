@@ -113,6 +113,11 @@ let limits_arg =
 
 let frontend_term =
   let make coalesce subsume batch_window limits =
+    if not (Float.is_finite batch_window && batch_window >= 0.0) then begin
+      prerr_endline
+        "rvaas-cli: option '--batch-window': must be a finite number of seconds, 0 or more";
+      exit Cmd.Exit.cli_error
+    end;
     (* Slices attach only to queued questions: without a settle tick
        every query is flushed alone and [--subsume] could never act,
        so asking for it is a usage error, reported before a deployment

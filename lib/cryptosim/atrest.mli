@@ -11,18 +11,10 @@
     only — the underlying hash is not cryptographically secure (see
     DESIGN.md §3). *)
 
-(** [wrap ~key ~nonce ~index plain] encrypts and authenticates one
-    frame; the tag is prepended to the ciphertext. *)
-val wrap : key:Hmac.key -> nonce:string -> index:int -> string -> string
-
-(** [unwrap ~key ~nonce ~index payload] inverts {!wrap}; [None] when
-    the MAC does not verify. *)
-val unwrap : key:Hmac.key -> nonce:string -> index:int -> string -> string option
-
-(** [nonce ~key ~seg] is the per-segment nonce — deterministic in
-    (key, segment index), stored in the segment header. *)
-val nonce : key:Hmac.key -> seg:int -> string
-
 (** [crypt ~key] packages the hooks for
-    {!Support.Segment_store.attach}. *)
+    {!Support.Segment_store.attach}: each frame is encrypted and
+    authenticated, its tag prepended to the ciphertext; a frame whose
+    MAC does not verify does not decode; the per-segment nonce is
+    deterministic in (key, segment index) and stored in the segment
+    header. *)
 val crypt : key:Hmac.key -> Support.Segment_store.crypt

@@ -48,7 +48,3 @@ let random rng ~jurisdictions =
     | _ -> Support.Rng.pick rng jurisdictions
   in
   { lat; lon; jurisdiction }
-
-let equal a b = a.lat = b.lat && a.lon = b.lon && String.equal a.jurisdiction b.jurisdiction
-
-let pp fmt t = Format.fprintf fmt "(%.2f,%.2f;%s)" t.lat t.lon t.jurisdiction

@@ -23,7 +23,3 @@ val centroid : t list -> t
 (** [random rng ~jurisdictions] draws a location uniformly over a
     continental-scale box with a random jurisdiction from the list. *)
 val random : Support.Rng.t -> jurisdictions:jurisdiction list -> t
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

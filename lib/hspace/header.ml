@@ -95,9 +95,3 @@ let random rng =
       in
       set h f v)
     default Field.all
-
-let pp fmt h =
-  Format.fprintf fmt
-    "{eth %012x->%012x type %04x vlan %x ip %08x->%08x proto %d ports %d->%d}"
-    h.eth_src h.eth_dst h.eth_type h.vlan h.ip_src h.ip_dst h.ip_proto h.tp_src
-    h.tp_dst

@@ -49,5 +49,3 @@ val equal : t -> t -> bool
 
 (** [random rng] draws a uniform header. *)
 val random : Support.Rng.t -> t
-
-val pp : Format.formatter -> t -> unit

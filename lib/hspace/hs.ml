@@ -5,8 +5,6 @@
    the quadratic cube products below. *)
 type t = { width : int; cubes : Tern.t list; bound : Tern.t }
 
-let width t = t.width
-
 let empty width = { width; cubes = []; bound = Tern.none width }
 
 let join_all width cubes =
@@ -276,11 +274,3 @@ let sample rng t =
       | Tern.Empty -> assert false
     done;
     Some !concrete
-
-let pp fmt t =
-  match t.cubes with
-  | [] -> Format.fprintf fmt "(empty/%d)" t.width
-  | cubes ->
-    Format.fprintf fmt "@[<v>%a@]"
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut Tern.pp)
-      cubes

@@ -8,9 +8,6 @@
 
 type t
 
-(** [width t] is the header width in bits. *)
-val width : t -> int
-
 (** [empty width] denotes the empty set. *)
 val empty : int -> t
 
@@ -109,5 +106,3 @@ val hash : t -> int
 (** [sample rng t] draws some concrete header from [t], or [None] when
     empty.  Free bits are drawn uniformly. *)
 val sample : Support.Rng.t -> t -> Tern.t option
-
-val pp : Format.formatter -> t -> unit

@@ -79,8 +79,8 @@ let set_masked t ~base ~len ~value ~mask =
   { t with words }
 
 (* A top-level scan, not a local loop: a local one would allocate its
-   closure on every call.  [concrete_from], [disjoint_from] and
-   [subset_from] follow suit. *)
+   closure on every call.  [concrete_from], [disjoint_from],
+   [prefilter_disjoint_from] and [subset_from] follow suit. *)
 let rec empty_from width words k =
   k < Array.length words
   &&
@@ -167,17 +167,16 @@ let prefilter t =
     pf_valid = Array.map (fun k -> evens_mask land valid_mask t.width k) idx;
   }
 
+let rec prefilter_disjoint_from pf cw i =
+  i < Array.length pf.pf_idx
+  &&
+  let w = pf.pf_words.(i) land cw.(pf.pf_idx.(i)) in
+  let valid = pf.pf_valid.(i) in
+  (w lor (w lsr 1)) land valid <> valid || prefilter_disjoint_from pf cw (i + 1)
+
 let prefilter_disjoint pf c =
   if pf.pf_width <> c.width then invalid_arg "Tern.prefilter_disjoint: width mismatch";
-  let n = Array.length pf.pf_idx in
-  let rec go i =
-    if i >= n then false
-    else
-      let w = pf.pf_words.(i) land c.words.(pf.pf_idx.(i)) in
-      let valid = pf.pf_valid.(i) in
-      if (w lor (w lsr 1)) land valid <> valid then true else go (i + 1)
-  in
-  go 0
+  prefilter_disjoint_from pf c.words 0
 
 let rec subset_from aw bw k =
   k >= Array.length aw || (aw.(k) land bw.(k) = aw.(k) && subset_from aw bw (k + 1))
@@ -333,5 +332,3 @@ let of_string s =
 let to_string t =
   String.init t.width (fun i ->
       match get t i with Zero -> '0' | One -> '1' | Any -> 'x' | Empty -> 'z')
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -129,5 +129,3 @@ val of_string : string -> t
 
 (** [to_string t] prints bit 0 first using [0], [1], [x], [z]. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

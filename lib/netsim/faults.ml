@@ -37,7 +37,3 @@ let plan f rng =
       [ first; one () ]
     else [ first ]
   end
-
-let pp fmt f =
-  Format.fprintf fmt "{loss=%.3f delay=%gs jitter=%gs dup=%.3f}" f.loss_prob
-    f.extra_delay f.jitter f.dup_prob

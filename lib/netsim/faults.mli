@@ -37,5 +37,3 @@ val is_none : t -> bool
     [[d]] a single delivery delayed by [d]; [[d1; d2]] a duplicated
     delivery.  [plan none] consumes no randomness. *)
 val plan : t -> Support.Rng.t -> float list
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,3 @@ let make ?size_bytes ~header payload =
   { header; payload; size_bytes; hops = 0 }
 
 let hop p ~header = { p with header; hops = p.hops + 1 }
-
-let pp fmt p =
-  Format.fprintf fmt "%a payload=%dB hops=%d" Hspace.Header.pp p.header
-    (String.length p.payload) p.hops

@@ -20,5 +20,3 @@ val make : ?size_bytes:int -> header:Hspace.Header.t -> string -> t
 (** [hop p ~header] advances the hop count and replaces the (possibly
     rewritten) header. *)
 val hop : t -> header:Hspace.Header.t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -35,9 +35,6 @@ val run : ?until:float -> t -> int
     @raise Invalid_argument when [period <= 0]. *)
 val every : ?until:float -> t -> period:float -> (unit -> bool) -> unit
 
-(** [step t] executes the next event; false when the queue is empty. *)
-val step : t -> bool
-
 (** [pending t] is the number of queued events. *)
 val pending : t -> int
 

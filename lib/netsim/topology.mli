@@ -93,6 +93,4 @@ val shortest_switch_path_avoiding :
     directly to [neighbor]. *)
 val port_towards : t -> sw:int -> neighbor:int -> int option
 
-val pp_node : Format.formatter -> node -> unit
-
 val pp_endpoint : Format.formatter -> endpoint -> unit

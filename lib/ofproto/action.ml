@@ -43,9 +43,6 @@ let apply ~ports ~in_port header actions =
   let result = List.fold_left step init actions in
   { result with outputs = List.rev result.outputs }
 
-let rewrites actions =
-  List.filter_map (function Set_field (f, v) -> Some (f, v) | _ -> None) actions
-
 let sends_to_controller actions =
   List.exists (function To_controller -> true | _ -> false) actions
 

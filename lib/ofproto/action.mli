@@ -31,10 +31,6 @@ type applied = {
 val apply :
   ports:int list -> in_port:int -> Hspace.Header.t -> t list -> applied
 
-(** [rewrites actions] is the net field-rewrite list of [actions] in
-    application order (used by the header-space transfer function). *)
-val rewrites : t list -> (Hspace.Field.name * int) list
-
 (** [sends_to_controller actions] is true when the list contains
     [To_controller]. *)
 val sends_to_controller : t list -> bool

@@ -54,6 +54,3 @@ let pp_spec fmt s =
       | None -> ()
       | Some m -> Format.fprintf fmt " meter:%d" m)
     s.meter
-
-let pp fmt t =
-  Format.fprintf fmt "%a (pkts=%d bytes=%d)" pp_spec t.spec t.packets t.bytes

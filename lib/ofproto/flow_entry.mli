@@ -48,5 +48,3 @@ val hash_into : int -> spec -> int
 val account : t -> bytes:int -> unit
 
 val pp_spec : Format.formatter -> spec -> unit
-
-val pp : Format.formatter -> t -> unit

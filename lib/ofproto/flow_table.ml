@@ -109,8 +109,3 @@ let entries t = t.entries
 let specs t = List.map (fun (e : Flow_entry.t) -> e.spec) t.entries
 
 let size t = List.length t.entries
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut Flow_entry.pp)
-    t.entries

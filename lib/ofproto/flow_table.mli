@@ -61,5 +61,3 @@ val size : t -> int
     pass instead of one pass per spec.  Observers are not notified; the
     version bumps once. *)
 val replace : t -> Flow_entry.spec list -> now:float -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -34,47 +34,3 @@ type to_switch =
   | Meter_stats_request of { xid : int }
   | Echo_request of { xid : int }
   | Barrier_request of { xid : int }
-
-let pp_to_controller fmt = function
-  | Packet_in { sw; in_port; reason; header; _ } ->
-    Format.fprintf fmt "packet_in sw=%d port=%d reason=%s %a" sw in_port
-      (match reason with No_match -> "no_match" | Action_to_controller -> "action")
-      Hspace.Header.pp header
-  | Flow_removed { sw; spec; _ } ->
-    Format.fprintf fmt "flow_removed sw=%d %a" sw Flow_entry.pp_spec spec
-  | Monitor { sw; event } ->
-    let kind, spec =
-      match event with
-      | Flow_added s -> ("add", s)
-      | Flow_deleted s -> ("del", s)
-      | Flow_modified s -> ("mod", s)
-    in
-    Format.fprintf fmt "monitor sw=%d %s %a" sw kind Flow_entry.pp_spec spec
-  | Flow_stats_reply { sw; xid; flows } ->
-    Format.fprintf fmt "flow_stats_reply sw=%d xid=%d (%d flows)" sw xid
-      (List.length flows)
-  | Meter_stats_reply { sw; xid; meters } ->
-    Format.fprintf fmt "meter_stats_reply sw=%d xid=%d (%d meters)" sw xid
-      (List.length meters)
-  | Echo_reply { sw; xid } -> Format.fprintf fmt "echo_reply sw=%d xid=%d" sw xid
-  | Barrier_reply { sw; xid } -> Format.fprintf fmt "barrier_reply sw=%d xid=%d" sw xid
-  | Error { sw; code } -> Format.fprintf fmt "error sw=%d %s" sw code
-
-let pp_to_switch fmt = function
-  | Flow_mod (Add_flow spec) -> Format.fprintf fmt "flow_mod add %a" Flow_entry.pp_spec spec
-  | Flow_mod (Delete_flow { match_; priority }) ->
-    Format.fprintf fmt "flow_mod del %a%a" Match_.pp match_
-      (fun fmt -> function
-        | None -> ()
-        | Some p -> Format.fprintf fmt " prio=%d" p)
-      priority
-  | Flow_mod (Delete_by_cookie c) -> Format.fprintf fmt "flow_mod del cookie=%d" c
-  | Meter_mod { id; band } ->
-    Format.fprintf fmt "meter_mod id=%d %s" id
-      (match band with None -> "remove" | Some b -> string_of_int b.Meter.rate_kbps ^ "kbps")
-  | Packet_out { port; header; _ } ->
-    Format.fprintf fmt "packet_out port=%d %a" port Hspace.Header.pp header
-  | Flow_stats_request { xid } -> Format.fprintf fmt "flow_stats_request xid=%d" xid
-  | Meter_stats_request { xid } -> Format.fprintf fmt "meter_stats_request xid=%d" xid
-  | Echo_request { xid } -> Format.fprintf fmt "echo_request xid=%d" xid
-  | Barrier_request { xid } -> Format.fprintf fmt "barrier_request xid=%d" xid

@@ -44,7 +44,3 @@ type to_switch =
   | Meter_stats_request of { xid : int }
   | Echo_request of { xid : int }
   | Barrier_request of { xid : int }
-
-val pp_to_controller : Format.formatter -> to_controller -> unit
-
-val pp_to_switch : Format.formatter -> to_switch -> unit

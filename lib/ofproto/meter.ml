@@ -9,27 +9,22 @@ type bucket = {
 type t = {
   meters : (int, bucket) Hashtbl.t;
   mutable version : int;
-  mutable observers : (int * band option -> unit) list;
 }
 
 (* Burst allowance: one second at line rate. *)
 let burst_bytes band = float_of_int band.rate_kbps *. 1000.0 /. 8.0
 
-let create () = { meters = Hashtbl.create 8; version = 0; observers = [] }
-
-let notify t change =
-  t.version <- t.version + 1;
-  List.iter (fun f -> f change) t.observers
+let create () = { meters = Hashtbl.create 8; version = 0 }
 
 let set t ~id band =
   let bucket = { band; tokens = burst_bytes band; refreshed = 0.0 } in
   Hashtbl.replace t.meters id bucket;
-  notify t (id, Some band)
+  t.version <- t.version + 1
 
 let remove t ~id =
   if Hashtbl.mem t.meters id then begin
     Hashtbl.remove t.meters id;
-    notify t (id, None);
+    t.version <- t.version + 1;
     true
   end
   else false
@@ -58,5 +53,3 @@ let allows t ~id ~now ~bytes =
     else false
 
 let version t = t.version
-
-let on_change t f = t.observers <- f :: t.observers

@@ -29,6 +29,3 @@ val allows : t -> id:int -> now:float -> bytes:int -> bool
 
 (** [version t] increases on every configuration mutation. *)
 val version : t -> int
-
-(** [on_change t f] registers an observer of configuration changes. *)
-val on_change : t -> (int * band option -> unit) -> unit

@@ -372,8 +372,6 @@ module Bin = struct
 
   let reader src = { src; pos = 0 }
 
-  let at_end r = r.pos >= String.length r.src
-
   let r_u8 r =
     if r.pos >= String.length r.src then raise (Malformed "truncated");
     let v = Char.code r.src.[r.pos] in

@@ -82,8 +82,6 @@ module Bin : sig
 
   val w_int : Buffer.t -> int -> unit
 
-  val w_i64 : Buffer.t -> int64 -> unit
-
   val w_float : Buffer.t -> float -> unit
 
   val w_string : Buffer.t -> string -> unit
@@ -96,14 +94,7 @@ module Bin : sig
 
   val reader : string -> reader
 
-  (** [at_end r] is [true] once every byte has been consumed. *)
-  val at_end : reader -> bool
-
-  val r_u8 : reader -> int
-
   val r_int : reader -> int
-
-  val r_i64 : reader -> int64
 
   val r_float : reader -> float
 

@@ -124,5 +124,3 @@ let describe = function
     Printf.sprintf "expected endpoint sw=%d port=%d is no longer reachable" sw port
   | Config_drift { at; sw; detail } ->
     Printf.sprintf "config drift at t=%.6f on sw%d: %s" at sw detail
-
-let pp fmt alarm = Format.pp_print_string fmt (describe alarm)

@@ -66,5 +66,3 @@ val check_history : baseline -> Monitor.history_entry list -> alarm list
 
 (** [describe alarm] is a one-line rendering. *)
 val describe : alarm -> string
-
-val pp : Format.formatter -> alarm -> unit

@@ -98,14 +98,12 @@ let prefill_of_journal log =
 
 (* The heartbeat keeps [last_at] of the journal fresh while this
    incarnation lives — its silence is what a standby's staleness check
-   detects.  Piggybacked echoes exercise the control channel so the
-   session guard has a liveness signal too. *)
+   detects. *)
 let arm_heartbeat t =
   let service = t.service in
   Netsim.Sim.every (sim t) ~period:t.config.heartbeat_period (fun () ->
       if Service.live service then begin
         Journal.heartbeat t.journal ~at:(now t);
-        Monitor.send_echo t.monitor;
         true
       end
       else false)

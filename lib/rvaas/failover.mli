@@ -4,8 +4,8 @@
     module makes that controller restartable and replaceable without
     widening the attack's blind window unboundedly.  Three layers:
 
-    - a {b heartbeat} keeps the durable {!Journal} fresh (and echoes
-      the switches) while the current incarnation lives;
+    - a {b heartbeat} keeps the durable {!Journal} fresh while the
+      current incarnation lives;
     - a {b session guard} heals partitions of a live controller:
       reconnect, re-install interception, immediate poll sweep,
       retransmit unanswered challenges;
@@ -36,7 +36,7 @@
     window) plus resync latency; experiments E16/E17 measure it. *)
 
 type config = {
-  heartbeat_period : float;  (** journal heartbeat + switch echo cadence *)
+  heartbeat_period : float;  (** journal heartbeat cadence *)
   takeover_timeout : float;
       (** journal staleness after which a standby declares the primary
           dead *)

@@ -116,8 +116,8 @@ let create cfg =
     if rate <= 0.0 then invalid_arg "Frontend.create: limits.rate must be positive";
     if burst < 1.0 then invalid_arg "Frontend.create: limits.burst must be >= 1"
   | None -> ());
-  if cfg.batch_window < 0.0 then
-    invalid_arg "Frontend.create: negative batch_window";
+  if not (Float.is_finite cfg.batch_window && cfg.batch_window >= 0.0) then
+    invalid_arg "Frontend.create: batch_window must be finite and >= 0";
   {
     cfg;
     buckets = Hashtbl.create 16;
@@ -209,6 +209,32 @@ let attach_slice t (entry : 'w entry) ~key ~scope query ~waiter =
       :: entry.e_slices);
   t.stats.subsumed <- t.stats.subsumed + 1
 
+(* A new entry absorbs the queued entries at its injection point whose
+   scope it contains — strictly, since an equal or wider one would
+   have taken it as a slice.  Each absorbed entry's waiters become one
+   slice of the new entry, followed by the slices it carried; it
+   leaves the indexes and stays queued with no waiters, which [flush]
+   skips.  So the queued scopes at a point never contain one another.
+   [queued] is newest first, so the absorbed entries' slices follow
+   one another in arrival order.  Returns the entries not absorbed. *)
+let absorb t entry scope queued =
+  List.filter
+    (fun e ->
+      let s = Option.get e.e_scope in
+      let inside = Hspace.Hs.subset s scope in
+      if inside then begin
+        entry.e_slices <-
+          ({ sl_key = e.e_key; sl_scope = s; sl_query = e.e_query; sl_waiters = e.e_waiters }
+          :: e.e_slices)
+          @ entry.e_slices;
+        t.stats.subsumed <- t.stats.subsumed + List.length e.e_waiters;
+        if t.cfg.coalesce then Key_table.remove t.by_key e.e_key;
+        e.e_waiters <- [];
+        e.e_slices <- []
+      end;
+      not inside)
+    queued
+
 let submit t ~key ?scope ~client ~sw ~port query ~waiter =
   match if t.cfg.coalesce then Key_table.find_opt t.by_key key else None with
   | Some entry ->
@@ -216,23 +242,27 @@ let submit t ~key ?scope ~client ~sw ~port query ~waiter =
     t.stats.coalesced <- t.stats.coalesced + 1;
     `Coalesced
   | None -> (
-    let container =
-      match (t.cfg.subsume, scope) with
-      | true, Some s when batchable query -> (
-        match Hashtbl.find_opt t.by_point (sw, port) with
-        | None -> None
-        | Some cell ->
-          List.find_opt
-            (fun e ->
-              match e.e_scope with
-              | Some s' -> Hspace.Hs.subset s s'
-              | None -> false)
-            !cell)
+    let e_scope = if batchable query then scope else None in
+    (* The scope and this injection point's index cell, when the
+       subsumption scan applies. *)
+    let index =
+      match e_scope with
+      | Some s when t.cfg.subsume ->
+        let cell =
+          match Hashtbl.find_opt t.by_point (sw, port) with
+          | Some cell -> cell
+          | None ->
+            let cell = ref [] in
+            Hashtbl.replace t.by_point (sw, port) cell;
+            cell
+        in
+        Some (s, cell)
       | _ -> None
     in
-    match container with
+    let contains s e = Hspace.Hs.subset s (Option.get e.e_scope) in
+    match Option.bind index (fun (s, cell) -> List.find_opt (contains s) !cell) with
     | Some entry ->
-      attach_slice t entry ~key ~scope:(Option.get scope) query ~waiter;
+      attach_slice t entry ~key ~scope:(Option.get e_scope) query ~waiter;
       `Subsumed
     | None ->
       let first = Queue.is_empty t.queue in
@@ -243,79 +273,27 @@ let submit t ~key ?scope ~client ~sw ~port query ~waiter =
           e_sw = sw;
           e_port = port;
           e_query = query;
-          e_scope = (if batchable query then scope else None);
+          e_scope;
           e_waiters = [ waiter ];
           e_slices = [];
         }
       in
       Queue.add entry t.queue;
       if t.cfg.coalesce then Key_table.replace t.by_key key entry;
-      if t.cfg.subsume && entry.e_scope <> None then begin
-        match Hashtbl.find_opt t.by_point (sw, port) with
-        | Some cell -> cell := entry :: !cell
-        | None -> Hashtbl.replace t.by_point (sw, port) (ref [ entry ])
-      end;
+      Option.iter (fun (s, cell) -> cell := entry :: absorb t entry s !cell) index;
       `Queued (if first then `First else `Later))
 
-let queued t = Queue.length t.queue
-
-(* Flush-time subsumption: within one pooled group, entries whose
-   scope is contained in another member's fold into that member as
-   slices — the narrow-before-broad arrival order [submit]'s forward
-   scan cannot catch.  "[j] absorbs [i]" is a strict partial order
-   (strict containment, arrival order breaking equal-scope ties), so
-   the kept entries are its maximal elements and, containment being
-   transitive, each folded entry finds a direct container among
-   them. *)
-let fold_group t group =
-  match group with
-  | ([] | [ _ ]) -> group
-  | _ when not t.cfg.subsume -> group
-  | es ->
-    let arr = Array.of_list es in
-    let n = Array.length arr in
-    let absorbs j i =
-      i <> j
-      &&
-      match (arr.(i).e_scope, arr.(j).e_scope) with
-      | Some si, Some sj ->
-        Hspace.Hs.subset si sj && ((not (Hspace.Hs.subset sj si)) || j < i)
-      | _ -> false
-    in
-    let folded =
-      Array.init n (fun i ->
-          let rec any j = j < n && (absorbs j i || any (j + 1)) in
-          any 0)
-    in
-    let kept = ref [] in
-    for i = n - 1 downto 0 do
-      if not folded.(i) then kept := i :: !kept
-    done;
-    Array.iteri
-      (fun i e ->
-        if folded.(i) then begin
-          let j = List.find (fun j -> absorbs j i) !kept in
-          let c = arr.(j) in
-          c.e_slices <-
-            c.e_slices
-            @ {
-                sl_key = e.e_key;
-                sl_scope = Option.get e.e_scope;
-                sl_query = e.e_query;
-                sl_waiters = e.e_waiters;
-              }
-              :: e.e_slices;
-          t.stats.subsumed <- t.stats.subsumed + List.length e.e_waiters
-        end)
-      arr;
-    List.map (fun i -> arr.(i)) !kept
+(* Entries an absorption emptied stay in the queue until the flush. *)
+let queued t = Queue.fold (fun n e -> if e.e_waiters = [] then n else n + 1) 0 t.queue
 
 let flush t =
   if Queue.is_empty t.queue then []
   else begin
     t.stats.flushes <- t.stats.flushes + 1;
     (* Drain in arrival order, pooling batchable entries that share an
-       injection point into the group opened by their first arrival. *)
+       injection point into the group opened by their first arrival.
+       An absorbed entry joins no group but still opens its point's,
+       so the groups keep their order. *)
     let groups : 'w entry list ref list ref = ref [] in
     let pools : (int * int, 'w entry list ref) Hashtbl.t = Hashtbl.create 8 in
     Queue.iter
@@ -323,12 +301,16 @@ let flush t =
         if t.cfg.coalesce then Key_table.remove t.by_key e.e_key;
         if batchable e.e_query then begin
           let point = (e.e_sw, e.e_port) in
-          match Hashtbl.find_opt pools point with
-          | Some cell -> cell := e :: !cell
-          | None ->
-            let cell = ref [ e ] in
-            Hashtbl.replace pools point cell;
-            groups := cell :: !groups
+          let cell =
+            match Hashtbl.find_opt pools point with
+            | Some cell -> cell
+            | None ->
+              let cell = ref [] in
+              Hashtbl.replace pools point cell;
+              groups := cell :: !groups;
+              cell
+          in
+          if e.e_waiters <> [] then cell := e :: !cell
         end
         else groups := ref [ e ] :: !groups)
       t.queue;
@@ -336,7 +318,7 @@ let flush t =
     Hashtbl.reset t.by_point;
     List.rev_map
       (fun cell ->
-        let group = fold_group t (List.rev !cell) in
+        let group = List.rev !cell in
         t.stats.entries <- t.stats.entries + List.length group;
         (match group with
         | _ :: _ :: _ ->

@@ -29,8 +29,10 @@
       rewrites — the service falls back per query on taint).  This
       turns the waiters-on-key list into a waiters-on-computation
       graph: one broad computation can answer many distinct narrower
-      questions.  Slices attach only while both questions are queued
-      — at {!submit}, or when {!flush} folds a group — so in
+      questions.  Slices attach in one place, {!submit}, whichever
+      question arrives first: a narrower question joins a queued
+      entry that contains it, and a broader one absorbs the queued
+      entries it contains.  Both questions must be queued, so in
       {!Service} a settle tick ([batch_window > 0]) is what gives
       them the chance.
     + {b batching} — queries that arrive within one settle tick
@@ -60,8 +62,9 @@ type config = {
   subsume : bool;
       (** attach scope-contained [Reachable_endpoints] queries to a
           broader queued computation as slice waiters instead of
-          evaluating them; a {!Service} with [batch_window = 0.]
-          flushes every query alone, so there nothing is subsumed *)
+          evaluating them, in either arrival order; a {!Service} with
+          [batch_window = 0.] flushes every query alone, so there
+          nothing is subsumed *)
 }
 
 (** Everything off: admit all, evaluate per query, no settle tick —
@@ -127,8 +130,10 @@ type stats = {
       (** admitted queries folded into an identical computation
           (pre-flush attach or in-flight join) instead of costing one *)
   mutable subsumed : int;
-      (** admitted queries attached as slice waiters to a broader
-          queued computation (submit-time scan or flush-time fold) *)
+      (** admitted queries answered as slice waiters of a broader
+          queued computation, each counted once: when it attaches at
+          {!submit}, or when a broader submission absorbs the entry it
+          waited on *)
   mutable entries : int;  (** computations handed to the service *)
   mutable batches : int;  (** flush groups that pooled >= 2 entries *)
   mutable batched : int;  (** entries inside such groups *)
@@ -143,8 +148,8 @@ type stats = {
 
 type 'w t
 
-(** @raise Invalid_argument on [rate <= 0], [burst < 1] or a negative
-    [batch_window]. *)
+(** @raise Invalid_argument on [rate <= 0], [burst < 1], or a
+    [batch_window] that is negative or not finite. *)
 val create : config -> 'w t
 
 val config : 'w t -> config
@@ -182,14 +187,18 @@ val note_slice_fallback : 'w t -> int -> unit
 (** [submit t ~key ?scope ~client ~sw ~port query ~waiter] enqueues a
     query.  [scope] is the effective scope the service will evaluate
     (batchable kinds only) — it feeds the subsumption containment
-    scan.  [`Coalesced] means the query was attached to an
+    checks.  [`Coalesced] means the query was attached to an
     already-queued identical entry (only with [config.coalesce]);
     [`Subsumed] means it was attached as a slice waiter to a queued
     broader computation at the same injection point (only with
-    [config.subsume]); [`Queued `First] means it opened a new entry in
-    a previously empty queue — the caller must now arrange a flush
-    (immediately, or one [batch_window] later); [`Queued `Later] means
-    the queue was already non-empty and a flush is already owed. *)
+    [config.subsume]); otherwise it opens a new entry, which with
+    [config.subsume] absorbs every queued entry at its point whose
+    scope it contains: each one's waiters become one slice of the new
+    entry, followed by the slices it carried.  [`Queued `First] means
+    the new entry went into a previously empty queue — the caller must
+    now arrange a flush (immediately, or one [batch_window] later);
+    [`Queued `Later] means the queue was already non-empty and a flush
+    is already owed. *)
 val submit :
   'w t ->
   key:key ->
@@ -201,16 +210,14 @@ val submit :
   waiter:'w ->
   [ `Coalesced | `Subsumed | `Queued of [ `First | `Later ] ]
 
-(** [queued t] is the number of entries awaiting a flush. *)
+(** [queued t] is the number of computations awaiting a flush. *)
 val queued : 'w t -> int
 
 (** [flush t] drains the queue into evaluation groups, in arrival
     order.  Entries of batchable kinds ([Reachable_endpoints]) that
     share an injection point are grouped together (one pooled sweep);
-    everything else comes back as singleton groups.  With
-    [config.subsume], entries of a group whose scope is contained in
-    another member's fold into that member as slices first (catching
-    the narrow-before-broad arrival order the submit-time scan
-    cannot), so a group's entry count — and the [entries]/[batched]
-    stats — reflect the computations actually handed out. *)
+    everything else comes back as singleton groups.  Entries an
+    absorption emptied are left out, so with [config.subsume] no
+    member's scope contains another's, and the [entries]/[batched]
+    stats count the computations actually handed out. *)
 val flush : 'w t -> 'w entry list list

@@ -56,10 +56,6 @@ let of_log ?(checkpoint_every = 64) ?(auto_compact = false) log =
 
 let log t = t.log
 
-let checkpoint_every t = t.checkpoint_every
-
-let auto_compact t = t.auto_compact
-
 (* ---- payload (de)serialization ---- *)
 
 let encode_record = function

@@ -57,10 +57,6 @@ val of_log : ?checkpoint_every:int -> ?auto_compact:bool -> Support.Journal.t ->
     what a warm standby tails and what gets encoded for persistence. *)
 val log : t -> Support.Journal.t
 
-val checkpoint_every : t -> int
-
-val auto_compact : t -> bool
-
 (** [append t ~at ~snapshot record] journals [record]; when the
     checkpoint cadence is reached, also journals a fresh image of
     [snapshot].  Checkpoint records trigger {!Support.Journal.sync} —

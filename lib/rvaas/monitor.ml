@@ -47,7 +47,6 @@ type t = {
   mutable polling_active : bool;
   mutable wiring : wiring_run option;
   mutable observation_hooks : (sw:int -> observation -> changed:bool -> unit) list;
-  mutable last_echo : float option;
 }
 
 (* Retransmission budget per stats request (first send included). *)
@@ -131,11 +130,9 @@ let handle_message t (msg : Ofproto.Message.to_controller) =
     let dst_port = Hspace.Header.get header Hspace.Field.Tp_dst in
     if dst_port = Wire.lldp_port then handle_probe t ~sw ~in_port ~payload
     else t.packet_in_handler ~sw ~in_port ~header ~payload
-  | Ofproto.Message.Echo_reply _ ->
-    (* Liveness signal for the session watchdog: any echo that makes
-       it back proves the control channel is up. *)
-    t.last_echo <- Some (now t)
-  | Ofproto.Message.Barrier_reply _ | Ofproto.Message.Error _ -> ()
+  | Ofproto.Message.Echo_reply _ | Ofproto.Message.Barrier_reply _
+  | Ofproto.Message.Error _ ->
+    ()
 
 (* Send one stats request under a fresh xid, tracked in [t.outstanding]
    until its reply arrives.  With [poll_retry = Some deadline], an
@@ -221,7 +218,6 @@ let create net ~conn_delay ?(loss_prob = 0.0) ?faults ?poll_retry
       polling_active = true;
       wiring = None;
       observation_hooks = [];
-      last_echo = None;
     }
   in
   List.iter (fun entry -> Support.Ring.push t.history entry) prefill;
@@ -318,14 +314,3 @@ let stop_polling t = t.polling_active <- false
 let poll_now t = poll_all t
 
 let journal t = t.journal
-
-let last_echo t = t.last_echo
-
-(* One echo per switch: the cheapest probe that exercises the whole
-   session round trip.  Replies land in [last_echo]. *)
-let send_echo t =
-  List.iter
-    (fun sw ->
-      t.next_xid <- t.next_xid + 1;
-      Netsim.Net.send t.net t.conn ~sw (Ofproto.Message.Echo_request { xid = t.next_xid }))
-    (Netsim.Topology.switches (Netsim.Net.topology t.net))

@@ -117,16 +117,6 @@ val poll_now : t -> unit
 (** [journal t] is the durable journal, when one was supplied. *)
 val journal : t -> Journal.t option
 
-(** {1 Session liveness} *)
-
-(** [send_echo t] sends one Echo request to every switch; any reply
-    updates {!last_echo}. *)
-val send_echo : t -> unit
-
-(** [last_echo t] is the time the most recent Echo reply arrived —
-    the signal the failover watchdog compares against its timeout. *)
-val last_echo : t -> float option
-
 (** {1 Active wiring verification (paper §IV-A.1)}
 
     RVaaS may "issue and later intercept LLDP like packets through all

@@ -39,7 +39,6 @@ type source = {
       (* per endpoint: every arriving cube with its witness path, in
          arrival order, so a scoped lookup can pick a path whose
          traffic actually overlaps the scope *)
-  s_rewrote : bool;  (* a rewrite touched a non-empty space *)
   s_deps : (int * int) array;  (* (switch, version) per traversed switch *)
   mutable s_global : int;  (* fast-path validity stamp *)
 }
@@ -84,7 +83,6 @@ let compile_source t ~src_sw ~src_port =
     s_paths =
       Hashtbl.fold (fun ep cps acc -> (ep, cps) :: acc) paths []
       |> List.sort (fun (a, _) (b, _) -> compare a b);
-    s_rewrote = tr.Verifier.rewrote;
     s_deps = Array.of_list (List.map (fun sw -> (sw, version t sw)) traversed);
     s_global = t.global_version;
   }
@@ -154,6 +152,7 @@ let restrict s hs =
     sample_paths;
     handoffs = [];
     rule_visits = 0;  (* a lookup visits no rules — that is the point *)
+    rewrote = false;  (* only sources that did not rewrite are restricted *)
   }
 
 (* ---- the memo interface ---- *)
@@ -161,7 +160,7 @@ let restrict s hs =
 let reach t ~src_sw ~src_port ~hs =
   let s = source t ~src_sw ~src_port in
   if is_full_scope hs then s.s_result
-  else if s.s_rewrote then begin
+  else if s.s_result.Verifier.rewrote then begin
     (* Rewrites make restriction inexact; traverse the scope itself. *)
     t.stats.fallback_sweeps <- t.stats.fallback_sweeps + 1;
     Verifier.reach_in t.ctx ~src_sw ~src_port ~hs

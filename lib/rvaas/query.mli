@@ -80,6 +80,4 @@ val kind_to_string : kind -> string
 
 val kind_of_string : string -> kind option
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val pp_answer : Format.formatter -> answer -> unit

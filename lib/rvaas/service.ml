@@ -40,15 +40,17 @@ type requester = {
   r_ip : int;
 }
 
-(* A narrower query riding a broader computation: its endpoints are
-   the subset of the subsumer's probes whose arrival space overlaps
-   the slice scope, in probe order, its answer sliced out at the
-   shared finalize.  Slices attach only in the front-end queue. *)
-type slice_pending = {
-  sp_query : Query.t;  (* the sliced query, journalled for re-issue *)
-  sp_base : Query.answer;
-  sp_targets : Verifier.endpoint list;  (* subsequence of the subsumer's *)
-  mutable sp_waiters : requester list;  (* newest first *)
+(* One question a computation answers and the clients waiting on it:
+   the computation's own question, or a narrower one riding it as a
+   slice.  Every waiter gets the answer over [probes] under [base],
+   re-nonced and signed for it, at the shared finalize. *)
+type audience = {
+  query : Query.t;  (* as asked, journalled for re-issue *)
+  base : Query.answer;  (* logical part, endpoints filled at finalize *)
+  probes : probe list;
+      (* the computation's; a slice's are the subsequence whose
+         arrival space overlaps its scope, chosen at open *)
+  mutable waiters : requester list;  (* newest first *)
 }
 
 type pending = {
@@ -56,11 +58,10 @@ type pending = {
       (* coalescing key while this computation is in flight; [Some]
          iff it was opened through a coalescing front-end (recovery
          re-issues bypass the front-end and never coalesce) *)
-  base : Query.answer;  (** logical part, endpoints filled at finalize *)
-  query : Query.t;  (** the parsed query, journalled for re-issue *)
   probes : probe list;
-  mutable requesters : requester list;  (* newest first *)
-  mutable slices : slice_pending list;  (* newest first *)
+  own : audience;
+  slices : audience list;
+      (* in fan-out order; they attach only in the front-end queue *)
   mutable finalized : bool;
       (* an early finalize (full quorum) races the scheduled one *)
   mutable deadline_at : float;
@@ -274,11 +275,10 @@ let packet_out t ~sw ~port header payload =
   Netsim.Net.send t.net (Monitor.conn t.monitor) ~sw
     (Ofproto.Message.Packet_out { port; header; payload })
 
-(* The shared (requester-independent) part of an answer over a probe
-   subset — built once per computation (or per slice, over the slice's
-   targets), then re-nonced, re-signed and fanned out to every
-   requester. *)
-let answer_of ~(base : Query.answer) probes =
+(* The shared (requester-independent) part of an audience's answer —
+   built once per audience at finalize, then re-nonced, re-signed and
+   fanned out to every waiter. *)
+let answer_of { base; probes; _ } =
   let endpoints =
     List.map
       (fun probe ->
@@ -300,8 +300,6 @@ let answer_of ~(base : Query.answer) probes =
     auth_attempts = List.fold_left (fun acc pr -> acc + pr.attempts_made) 0 probes;
     degraded = replies < List.length probes;
   }
-
-let answer_template (p : pending) = answer_of ~base:p.base p.probes
 
 let send_answer t answer (r : requester) =
   let payload = Codec.encode_answer answer ~signer:t.keypair in
@@ -346,6 +344,9 @@ let slice_probes probes (targets : Verifier.endpoint list) =
   in
   go [] probes targets
 
+(* Own waiters first, then each slice's. *)
+let audiences p = p.own :: p.slices
+
 let finalize t (p : pending) =
   if t.live && not p.finalized then
     if not (Netsim.Net.conn_up (Monitor.conn t.monitor)) then
@@ -356,28 +357,21 @@ let finalize t (p : pending) =
       ()
     else begin
       retire t p;
-      let answer_out template (r : requester) =
-        (* Guarded removal: never evict a nonce that a newer pending
-           owns (the duplicate-replay corruption this fan-out
-           replaced). *)
-        (match Hashtbl.find_opt t.open_queries r.r_nonce with
-        | Some q when q == p -> Hashtbl.remove t.open_queries r.r_nonce
-        | _ -> ());
-        send_answer t { template with Query.nonce = r.r_nonce } r;
-        journal_record t (Journal.Query_closed { nonce = r.r_nonce })
-      in
-      let template = answer_template p in
-      List.iter (answer_out template) (List.rev p.requesters);
-      (* Slice fan-out: each riding query's answer is the subsumer's
-         probe results restricted to the slice's own targets, under the
-         slice's own logical base. *)
       List.iter
-        (fun sp ->
-          let template =
-            answer_of ~base:sp.sp_base (slice_probes p.probes sp.sp_targets)
-          in
-          List.iter (answer_out template) (List.rev sp.sp_waiters))
-        (List.rev p.slices)
+        (fun a ->
+          let template = answer_of a in
+          List.iter
+            (fun (r : requester) ->
+              (* Guarded removal: never evict a nonce that a newer
+                 pending owns (the duplicate-replay corruption this
+                 fan-out replaced). *)
+              (match Hashtbl.find_opt t.open_queries r.r_nonce with
+              | Some q when q == p -> Hashtbl.remove t.open_queries r.r_nonce
+              | _ -> ());
+              send_answer t { template with Query.nonce = r.r_nonce } r;
+              journal_record t (Journal.Query_closed { nonce = r.r_nonce }))
+            (List.rev a.waiters))
+        (audiences p)
     end
 
 let quorum_complete (p : pending) =
@@ -439,17 +433,12 @@ let supersede t nonce =
   match Hashtbl.find_opt t.open_queries nonce with
   | None -> ()
   | Some old ->
-    old.requesters <-
-      List.filter (fun r -> not (String.equal r.r_nonce nonce)) old.requesters;
     List.iter
-      (fun sp ->
-        sp.sp_waiters <-
-          List.filter
-            (fun (r : requester) -> not (String.equal r.r_nonce nonce))
-            sp.sp_waiters)
-      old.slices;
-    old.slices <- List.filter (fun sp -> sp.sp_waiters <> []) old.slices;
-    if old.requesters = [] && old.slices = [] then retire t old
+      (fun a ->
+        a.waiters <-
+          List.filter (fun (r : requester) -> not (String.equal r.r_nonce nonce)) a.waiters)
+      (audiences old);
+    if List.for_all (fun a -> a.waiters = []) (audiences old) then retire t old
 
 (* Open [r]'s nonce on computation [p] and journal [query], the
    question [r] asked, for a recovering standby to re-issue.  A nonce
@@ -468,10 +457,13 @@ let register t p query (r : requester) =
          q_query = query;
        })
 
-(* Open one computation for [requesters] (already evaluated to [base]
-   + probe [targets]) — plus any [slices] riding it — and drive its
-   auth-probe round. *)
-let open_with t ~key ~query ~base ~targets ?(slices = []) ~requesters () =
+(* Open one computation answering [query] for [waiters], already
+   evaluated to [base] + probe [targets], plus the audiences [slices]
+   builds over its probes, and drive its auth-probe round.  Slice
+   waiters journal their own (narrower) question: a recovering standby
+   re-issues the question the client actually asked, not the broader
+   computation it rode. *)
+let open_with t ~key ~query ~waiters ?(slices = fun _ -> []) (base, targets) =
   let probes =
     List.map
       (fun target ->
@@ -485,55 +477,15 @@ let open_with t ~key ~query ~base ~targets ?(slices = []) ~requesters () =
         })
       targets
   in
-  let p =
-    {
-      key;
-      base;
-      query;
-      probes;
-      requesters;
-      slices;
-      finalized = false;
-      deadline_at = 0.0;
-    }
-  in
-  List.iter (register t p query) (List.rev requesters);
-  (* Slice waiters journal their own (narrower) query: a recovering
-     standby re-issues the question the client actually asked, not the
-     broader computation it happened to ride. *)
-  List.iter
-    (fun sp -> List.iter (register t p sp.sp_query) (List.rev sp.sp_waiters))
-    (List.rev slices);
+  let own = { query; base; probes; waiters } in
+  let p = { key; probes; own; slices = slices probes; finalized = false; deadline_at = 0.0 } in
+  List.iter (fun a -> List.iter (register t p a.query) (List.rev a.waiters)) (audiences p);
   (match key with Some k -> Frontend.Key_table.replace t.coalesced k p | None -> ());
   if probes = [] then finalize t p
   else begin
     List.iter (fun probe -> Hashtbl.replace t.pending probe.challenge p) probes;
     dispatch_probes t p
   end
-
-(* Evaluate a query and drive its auth-probe round.  Used by [reissue]
-   (a recovering controller re-driving a query recorded in the
-   journal) — recovery bypasses admission and coalescing. *)
-let open_query t ~client ~nonce ~sw ~port ~ip query =
-  let base, targets = evaluate t ~client ~sw ~port query in
-  open_with t ~key:None ~query ~base ~targets
-    ~requesters:[ { r_nonce = nonce; r_client = client; r_sw = sw; r_port = port; r_ip = ip } ]
-    ()
-
-(* A rewrite anywhere on the swept region makes sharing the sweep
-   unsound: its arrival spaces may mix headers that entered under
-   different questions' scopes.  Conservative and cheap — scan the
-   traversed switches (a superset of any member's traversal) for
-   rewriting actions. *)
-let union_tainted t (r : Verifier.reach_result) =
-  let snapshot = Monitor.snapshot t.monitor in
-  List.exists
-    (fun sw ->
-      List.exists
-        (fun (spec : Ofproto.Flow_entry.spec) ->
-          Ofproto.Action.rewrites spec.actions <> [])
-        (Snapshot.flows snapshot ~sw))
-    r.Verifier.traversed
 
 (* The arrivals whose space overlaps [scope], in arrival order: a batch
    member's share of the pooled sweep, or a slice's share of its
@@ -544,51 +496,52 @@ let arrivals_in arrivals scope =
     arrivals
 
 (* Open a [Reachable_endpoints] computation whose arrival spaces are
-   in hand, together with the slices riding it.  A rewrite on the
-   region ([tainted]) makes the slice selection unsound, so —
+   in hand, together with the slices riding it.  A rewritten space in
+   the sweep ([tainted]) makes the slice selection unsound, so —
    mirroring [open_batch]'s fallback — the subsumer still answers its
    own waiters exactly while every slice re-runs as its own per-query
    computation. *)
-let open_reach t ~key ~(query : Query.t) ~sw ~port ~arrivals ~tainted
-    ~(requesters : requester list) ~(slices : requester Frontend.slice list) =
+let open_reach t ~key ~(query : Query.t) ~sw ~port ~arrivals ~tainted ~waiters
+    ~(slices : requester Frontend.slice list) =
   let base = empty_answer t ~nonce:(fresh_hex t) ~kind:query.Query.kind in
   let targets = List.map fst arrivals in
   if tainted then begin
     Frontend.note_slice_fallback t.frontend (List.length slices);
-    open_with t ~key ~query ~base ~targets ~requesters ();
+    open_with t ~key ~query ~waiters (base, targets);
     List.iter
       (fun (sl : requester Frontend.slice) ->
-        match sl.Frontend.sl_waiters with
+        match sl.sl_waiters with
         | [] -> ()
         | lead :: _ ->
-          let b, tg =
-            evaluate t ~client:lead.r_client ~sw ~port sl.Frontend.sl_query
-          in
-          open_with t ~key:None ~query:sl.Frontend.sl_query ~base:b ~targets:tg
-            ~requesters:sl.Frontend.sl_waiters ())
+          open_with t ~key:None ~query:sl.sl_query ~waiters:sl.sl_waiters
+            (evaluate t ~client:lead.r_client ~sw ~port sl.sl_query))
       slices
   end
   else
-    let slices =
+    let bases =
       List.map
         (fun (sl : requester Frontend.slice) ->
-          {
-            sp_query = sl.Frontend.sl_query;
-            sp_base =
-              empty_answer t ~nonce:(fresh_hex t)
-                ~kind:sl.Frontend.sl_query.Query.kind;
-            sp_targets = List.map fst (arrivals_in arrivals sl.Frontend.sl_scope);
-            sp_waiters = sl.Frontend.sl_waiters;
-          })
+          empty_answer t ~nonce:(fresh_hex t) ~kind:sl.sl_query.Query.kind)
         slices
     in
-    open_with t ~key ~query ~base ~targets ~slices ~requesters ()
+    (* [Frontend] keeps slices newest first; answers fan out oldest
+       first. *)
+    let slice probes (sl : requester Frontend.slice) base =
+      {
+        query = sl.sl_query;
+        base;
+        probes = slice_probes probes (List.map fst (arrivals_in arrivals sl.sl_scope));
+        waiters = sl.sl_waiters;
+      }
+    in
+    open_with t ~key ~query ~waiters (base, targets)
+      ~slices:(fun probes -> List.rev (List.map2 (slice probes) slices bases))
 
 (* A flushed front-end entry: one evaluation with the leader's
    coordinates, answers fanned out to every attached waiter.
    [Reachable_endpoints] evaluates through [reach] directly, so the
    arrival spaces are in hand for the entry's slices — same [base],
-   same [targets], byte for byte, as [evaluate].  The taint scan
+   same [targets], byte for byte, as [evaluate].  The taint flag
    matters only to slices: the entry's own answer is exact either
    way. *)
 let open_entry t (e : requester Frontend.entry) =
@@ -601,23 +554,22 @@ let open_entry t (e : requester Frontend.entry) =
     in
     open_reach t ~key ~query:e.e_query ~sw:e.e_sw ~port:e.e_port
       ~arrivals:r.Verifier.endpoints
-      ~tainted:(e.e_slices <> [] && union_tainted t r)
-      ~requesters:e.e_waiters ~slices:e.e_slices
+      ~tainted:(e.e_slices <> [] && r.Verifier.rewrote)
+      ~waiters:e.e_waiters ~slices:e.e_slices
   | _ ->
-    let base, targets =
-      evaluate t ~client:e.e_client ~sw:e.e_sw ~port:e.e_port e.e_query
-    in
-    open_with t ~key ~query:e.e_query ~base ~targets ~requesters:e.e_waiters ()
+    open_with t ~key ~query:e.e_query ~waiters:e.e_waiters
+      (evaluate t ~client:e.e_client ~sw:e.e_sw ~port:e.e_port e.e_query)
 
 (* A batch of [Reachable_endpoints] entries sharing one injection
    point: union the scopes, run one sweep over the union, and give
    each member the arrivals that overlap its own scope.  Exact absent
    rewrites — forward propagation is linear in the injected set, so
-   [arrival(S1) = arrival(S1 ∪ S2) ∩ S1] cube by cube; with rewrites
-   on the region, fall back to per-entry evaluation.  A member's
-   slices select from the unrestricted arrivals: a slice's scope lies
-   inside its member's, so the overlap test picks the same endpoints
-   as it would from the member's intersected share. *)
+   [arrival(S1) = arrival(S1 ∪ S2) ∩ S1] cube by cube; when the sweep
+   emitted a rewritten space ([reach_result.rewrote]), fall back to
+   per-entry evaluation.  A member's slices select from the
+   unrestricted arrivals: a slice's scope lies inside its member's, so
+   the overlap test picks the same endpoints as it would from the
+   member's intersected share. *)
 let open_batch t (es : requester Frontend.entry list) =
   match es with
   | [] -> ()
@@ -634,7 +586,7 @@ let open_batch t (es : requester Frontend.entry list) =
       scopes;
     let union = Hspace.Hs.Builder.build b in
     let r = reach t ~src_sw:first.e_sw ~src_port:first.e_port ~hs:union in
-    if union_tainted t r then begin
+    if r.Verifier.rewrote then begin
       Frontend.note_fallback t.frontend (List.length es);
       List.iter (open_entry t) es
     end
@@ -645,7 +597,7 @@ let open_batch t (es : requester Frontend.entry list) =
             ~key:(if coalesce then Some e.e_key else None)
             ~query:e.e_query ~sw:e.e_sw ~port:e.e_port
             ~arrivals:(arrivals_in r.Verifier.endpoints scope)
-            ~tainted:false ~requesters:e.e_waiters ~slices:e.e_slices)
+            ~tainted:false ~waiters:e.e_waiters ~slices:e.e_slices)
         es scopes
 
 let flush_frontend t =
@@ -664,8 +616,8 @@ let flush_frontend t =
 let try_join t key (r : requester) =
   match Frontend.Key_table.find_opt t.coalesced key with
   | Some p when not p.finalized ->
-    p.requesters <- r :: p.requesters;
-    register t p p.query r;
+    p.own.waiters <- r :: p.own.waiters;
+    register t p p.own.query r;
     Frontend.note_coalesced t.frontend;
     true
   | _ -> false
@@ -920,8 +872,17 @@ let reinstall_intercepts t = install_intercepts t
    and a fresh finalize deadline. *)
 let reissue t (q : Journal.query_open) =
   t.stats.queries_reissued <- t.stats.queries_reissued + 1;
-  open_query t ~client:q.q_client ~nonce:q.q_nonce ~sw:q.q_sw ~port:q.q_port
-    ~ip:(Option.value ~default:0 q.q_ip) q.q_query
+  let r =
+    {
+      r_nonce = q.q_nonce;
+      r_client = q.q_client;
+      r_sw = q.q_sw;
+      r_port = q.q_port;
+      r_ip = Option.value ~default:0 q.q_ip;
+    }
+  in
+  open_with t ~key:None ~query:q.q_query ~waiters:[ r ]
+    (evaluate t ~client:q.q_client ~sw:q.q_sw ~port:q.q_port q.q_query)
 
 (* After a session re-establishment on the *same* controller instance
    (partition healed): every still-open query retransmits its

@@ -88,12 +88,16 @@ type t
     one [batch_window], and — with [frontend.subsume] — semantic
     subsumption: a [Reachable_endpoints] query whose effective scope
     is contained in a queued computation at the same injection point
-    rides it as a slice, its answer cut out of the subsumer's arrival
-    spaces at the shared finalize (rewrite-tainted regions fall back
-    to per-query evaluation).  Slices attach only in the front-end
-    queue, so the service subsumes only with a positive
-    [batch_window]; an identical query still joins a computation in
-    flight.  Recovery re-issues ({!reissue}) bypass it.
+    rides it as a slice, whichever of the two arrived first.  The
+    slice's probes are cut out of the subsumer's arrival spaces when
+    the computation opens, and its waiters are answered at the shared
+    finalize.  When the subsumer's sweep emitted a rewritten space
+    ({!Verifier.reach_result.rewrote}), its slices fall back to
+    per-query evaluation instead.  Slices attach only in the front-end
+    queue ({!Frontend.submit}), so the service subsumes only with a
+    positive [batch_window]; an identical query still joins a
+    computation in flight.  Recovery re-issues ({!reissue}) bypass
+    it.
     @raise Invalid_argument on a retry policy with [attempts < 1], a
     negative [base_delay], or an invalid front-end config (see
     {!Frontend.create}). *)

@@ -7,6 +7,7 @@ type reach_result = {
   sample_paths : (endpoint * int list) list;
   handoffs : (int * int * Hspace.Hs.t) list;
   rule_visits : int;
+  rewrote : bool;
 }
 
 let width = Hspace.Field.total_width
@@ -142,7 +143,6 @@ type trace = {
   result : reach_result;
   seen : (int * int, Hspace.Hs.t) Hashtbl.t;
   arrivals : (endpoint * Hspace.Hs.t * int list) list;
-  rewrote : bool;
 }
 
 let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
@@ -258,9 +258,10 @@ let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
         Hashtbl.fold (fun (sw, port) hs acc -> (sw, port, hs) :: acc) handoffs []
         |> List.sort compare;
       rule_visits = !rule_visits;
+      rewrote = !rewrote;
     }
   in
-  { result; seen; arrivals = !arrivals; rewrote = !rewrote }
+  { result; seen; arrivals = !arrivals }
 
 let reach_in ?boundary ctx ~src_sw ~src_port ~hs =
   (trace_in ?boundary ctx ~src_sw ~src_port ~hs).result

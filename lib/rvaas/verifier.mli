@@ -34,6 +34,12 @@ type reach_result = {
           the query boundary — the cross-provider egress points used by
           {!Federation} (empty without a [boundary]) *)
   rule_visits : int;  (** work counter for benchmarks *)
+  rewrote : bool;
+      (** a Set_field shaped some space that left a rule on a wired port
+          or to the controller.  Without one, propagation is per header,
+          so the run over [S1] arrives where the run over [S1 ∪ S2]
+          arrives, intersected with [S1]: what lets a pooled sweep or a
+          broader computation answer a narrower question *)
 }
 
 (** {1 Rule guards}
@@ -91,9 +97,6 @@ type trace = {
   arrivals : (endpoint * Hspace.Hs.t * int list) list;
       (** every host emission, newest first, with its witness
           switch-path leaf-first (reverse it for source-first) *)
-  rewrote : bool;
-      (** a Set_field shaped some space that left a rule on a wired
-          port or to the controller *)
 }
 
 (** [trace_in ?boundary ctx ~src_sw ~src_port ~hs] is the breadth-first

@@ -23,25 +23,34 @@ let explicit_guards flows_of sw port =
   in
   List.rev guarded
 
+(* The outputs, each with whether a Set_field shaped it, and the space
+   sent to the controller, with whether a rewritten one was. *)
 let symbolic_apply ~ports ~in_port hs actions =
   let flood_ports = List.filter (fun p -> p <> in_port) ports in
   let cur = ref hs
+  and rewritten = ref false
   and outs = ref []
-  and ctrl = ref (Hspace.Hs.empty width) in
+  and ctrl = ref (Hspace.Hs.empty width)
+  and ctrl_rewritten = ref false in
   List.iter
     (fun action ->
       match action with
-      | Ofproto.Action.Output p -> if p <> in_port then outs := (p, !cur) :: !outs
-      | Ofproto.Action.In_port -> outs := (in_port, !cur) :: !outs
-      | Ofproto.Action.Flood -> List.iter (fun p -> outs := (p, !cur) :: !outs) flood_ports
-      | Ofproto.Action.To_controller -> ctrl := Hspace.Hs.union !ctrl !cur
+      | Ofproto.Action.Output p ->
+        if p <> in_port then outs := (p, !cur, !rewritten) :: !outs
+      | Ofproto.Action.In_port -> outs := (in_port, !cur, !rewritten) :: !outs
+      | Ofproto.Action.Flood ->
+        List.iter (fun p -> outs := (p, !cur, !rewritten) :: !outs) flood_ports
+      | Ofproto.Action.To_controller ->
+        ctrl := Hspace.Hs.union !ctrl !cur;
+        if !rewritten then ctrl_rewritten := true
       | Ofproto.Action.Set_field (f, v) ->
         cur :=
           Hspace.Hs.of_cubes width
-            (List.map (fun c -> Hspace.Field.set_exact c f v) (Hspace.Hs.cubes !cur))
+            (List.map (fun c -> Hspace.Field.set_exact c f v) (Hspace.Hs.cubes !cur));
+        rewritten := true
       | Ofproto.Action.Set_queue _ -> ())
     actions;
-  (List.rev !outs, !ctrl)
+  (List.rev !outs, !ctrl, !ctrl_rewritten)
 
 let reach ~flows_of topo ~src_sw ~src_port ~hs =
   let seen : (int * int, Hspace.Hs.t) Hashtbl.t = Hashtbl.create 64 in
@@ -59,6 +68,7 @@ let reach ~flows_of topo ~src_sw ~src_port ~hs =
   let paths = Hashtbl.create 16 in
   let traversed = Hashtbl.create 16 in
   let rule_visits = ref 0 in
+  let rewrote = ref false in
   let queue = Queue.create () in
   let enqueue sw port hs path =
     if not (Hspace.Hs.is_empty hs) then begin
@@ -83,7 +93,10 @@ let reach ~flows_of topo ~src_sw ~src_port ~hs =
           let matched = Hspace.Hs.inter hs guard in
           if not (Hspace.Hs.is_empty matched) then begin
             let ports = Netsim.Topology.switch_ports topo sw in
-            let outs, ctrl = symbolic_apply ~ports ~in_port:port matched spec.actions in
+            let outs, ctrl, ctrl_rewritten =
+              symbolic_apply ~ports ~in_port:port matched spec.actions
+            in
+            if ctrl_rewritten then rewrote := true;
             if not (Hspace.Hs.is_empty ctrl) then begin
               let old =
                 Option.value ~default:(Hspace.Hs.empty width)
@@ -92,11 +105,12 @@ let reach ~flows_of topo ~src_sw ~src_port ~hs =
               Hashtbl.replace controller sw (Hspace.Hs.union old ctrl)
             end;
             List.iter
-              (fun (out_port, out) ->
+              (fun (out_port, out, rewritten) ->
                 let here = Netsim.Topology.{ node = Switch sw; port = out_port } in
                 match Netsim.Topology.peer topo here with
                 | None -> ()
                 | Some far -> (
+                  if rewritten then rewrote := true;
                   match far.Netsim.Topology.node with
                   | Netsim.Topology.Host host ->
                     let ep = { Verifier.host; sw; port = out_port } in
@@ -127,4 +141,5 @@ let reach ~flows_of topo ~src_sw ~src_port ~hs =
       |> List.sort (fun (a, _) (b, _) -> compare a b);
     handoffs = [];
     rule_visits = !rule_visits;
+    rewrote = !rewrote;
   }

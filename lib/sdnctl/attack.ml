@@ -191,5 +191,3 @@ let rec describe = function
     Printf.sprintf "meter_squeeze(h%d, %dkbps)" victim_host rate_kbps
   | Transient { attack; start; duration } ->
     Printf.sprintf "transient(%s, t=%.3f..%.3f)" (describe attack) start (start +. duration)
-
-let pp fmt t = Format.pp_print_string fmt (describe t)

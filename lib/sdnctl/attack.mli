@@ -32,9 +32,6 @@ type t =
     never trusts cookies). *)
 val cookie : int
 
-(** Priority of attacker rules: above all provider rules. *)
-val priority : int
-
 (** [launch net addressing ~conn attack] issues the attack's Flow-Mods
     on the (compromised) controller connection [conn].  [Transient]
     schedules installation at [start] and retraction at
@@ -46,5 +43,3 @@ val launch : Netsim.Net.t -> Addressing.t -> conn:Netsim.Net.conn -> t -> unit
 
 (** [describe attack] is a short human-readable label. *)
 val describe : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -23,12 +23,6 @@ type policy = {
 
 type t
 
-val routing_priority : int
-
-val acl_priority : int
-
-val whitelist_priority : int
-
 (** [cookie] tags all provider-installed rules. *)
 val cookie : int
 
@@ -51,13 +45,8 @@ val conn : t -> Netsim.Net.conn
     addresses the range holds. *)
 val install_all : t -> unit
 
-(** [mods_for_switch t ~sw] is the slice of the configuration destined
-    for switch [sw] (routing + ACL + whitelist), computed directly
-    rather than by filtering the full rule set. *)
-val mods_for_switch :
-  t -> sw:int -> (int * Ofproto.Message.to_switch) list
-
-(** [mods_via t ~sw ~port] is the subset of [mods_for_switch] whose
+(** [mods_via t ~sw ~port] is the subset of switch [sw]'s slice of
+    the configuration (routing + ACL + whitelist) whose
     actions output via [port] — the rules a link flap at that port
     invalidates. *)
 val mods_via : t -> sw:int -> port:int -> (int * Ofproto.Message.to_switch) list

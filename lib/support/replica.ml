@@ -15,7 +15,7 @@
    never falls further behind than both bounds allow.
 
    Partition: a partitioned replica receives nothing (frames in flight
-   and frames sent while partitioned are lost, counted in [dropped]).
+   and frames sent while partitioned are lost).
    Healing performs a full resync from the source — a state snapshot
    transfer — because the chain cannot be re-joined across a gap
    ([Journal.ingest] refuses gaps).  A mid-stream gap from any other
@@ -42,10 +42,7 @@ type t = {
   mutable queue : (float * event) list; (* (arrival stamp, event), oldest first *)
   mutable partitioned : bool;
   mutable delivered : int; (* frames applied to the view *)
-  mutable resets : int; (* compaction images applied *)
   mutable resyncs : int; (* full snapshot transfers *)
-  mutable dropped : int; (* frames lost to partition *)
-  mutable sink : Journal.sink option;
 }
 
 let view t = t.view
@@ -54,18 +51,12 @@ let partitioned t = t.partitioned
 
 let delivered t = t.delivered
 
-let resets t = t.resets
-
 let resyncs t = t.resyncs
-
-let dropped t = t.dropped
 
 let queued t =
   List.fold_left
     (fun n (_, ev) -> match ev with Frame _ -> n + 1 | Reset _ -> n)
     0 t.queue
-
-let lag t = Journal.last_seq t.source - Journal.last_seq t.view
 
 let held t = match t.faults with Some f -> f.Storefault.hold_frames | None -> false
 
@@ -88,9 +79,7 @@ let apply t ev =
       resync t)
   | Reset img -> (
     match Journal.decode img with
-    | Ok j ->
-      t.view <- j;
-      t.resets <- t.resets + 1
+    | Ok j -> t.view <- j
     | Error _ -> resync t)
 
 let apply_oldest t =
@@ -108,8 +97,7 @@ let enforce_record_bound t =
     done
 
 let handle_append t e =
-  if t.partitioned then t.dropped <- t.dropped + 1
-  else begin
+  if not t.partitioned then begin
     t.queue <- t.queue @ [ (e.Journal.at, Frame e) ];
     enforce_record_bound t
   end
@@ -144,7 +132,6 @@ let catch_up t =
 let partition t =
   if not t.partitioned then begin
     (* frames in flight die with the link *)
-    t.dropped <- t.dropped + queued t;
     t.queue <- [];
     t.partitioned <- true
   end
@@ -173,10 +160,7 @@ let create ?faults ?(max_lag = 8) ?(delay = 0.0) source =
       queue = [];
       partitioned = false;
       delivered = 0;
-      resets = 0;
       resyncs = 0;
-      dropped = 0;
-      sink = None;
     }
   in
   let sink =
@@ -187,12 +171,5 @@ let create ?faults ?(max_lag = 8) ?(delay = 0.0) source =
       on_compact = (fun () -> handle_compact t);
     }
   in
-  t.sink <- Some sink;
   Journal.attach source sink;
   t
-
-let close t =
-  (match t.sink with
-  | Some sink -> Journal.detach_sink t.source sink
-  | None -> ());
-  t.sink <- None

@@ -49,23 +49,11 @@ val heal : t -> unit
 
 val partitioned : t -> bool
 
-(** Records the view is behind the source right now. *)
-val lag : t -> int
-
 (** Frames currently queued (in transit, not yet applied). *)
 val queued : t -> int
 
 (** Frames applied to the view so far. *)
 val delivered : t -> int
 
-(** Compaction images applied so far. *)
-val resets : t -> int
-
 (** Full snapshot resyncs performed (heals and gap recoveries). *)
 val resyncs : t -> int
-
-(** Frames lost to partitions. *)
-val dropped : t -> int
-
-(** Detach from the source; the view stays readable. *)
-val close : t -> unit

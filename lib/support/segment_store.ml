@@ -167,8 +167,6 @@ type t = {
   mutable sink : Journal.sink option;
 }
 
-let dir t = t.dir
-
 let written_bytes t = t.written
 
 let synced_bytes t = t.synced

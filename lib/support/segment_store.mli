@@ -56,8 +56,6 @@ type t
     {!Storefault} plan for crash-matrix tests. *)
 val attach : ?config:config -> ?faults:Storefault.t -> Journal.t -> dir:string -> t
 
-val dir : t -> string
-
 (** Path of the current active segment.
     @raise Invalid_argument when the store is closed. *)
 val active_path : t -> string

@@ -13,12 +13,8 @@ type spec = {
   clients : int;
   seed : int;
   polling : Rvaas.Monitor.polling;
-  provider_delay : float;
-  rvaas_delay : float;
   rvaas_loss : float;
   rvaas_faults : Netsim.Faults.t;
-  link_faults : Netsim.Faults.t;
-  auth_timeout : float;
   auth_retry : Rvaas.Service.retry;
   poll_retry : float option;
   agent_resend : float option;
@@ -37,12 +33,8 @@ let default_spec topo =
     clients = 2;
     seed = 42;
     polling = Rvaas.Monitor.Randomized 0.05;
-    provider_delay = 1e-3;
-    rvaas_delay = 1e-3;
     rvaas_loss = 0.0;
     rvaas_faults = Netsim.Faults.none;
-    link_faults = Netsim.Faults.none;
-    auth_timeout = 0.02;
     auth_retry = Rvaas.Service.no_retry;
     poll_retry = None;
     agent_resend = None;
@@ -69,6 +61,14 @@ type t = {
   agents : (int * Rvaas.Client_agent.t) list;
   service_keypair : Cryptosim.Keys.keypair;
 }
+
+(* Every deployment's control-channel latencies and the window the
+   service waits for auth replies. *)
+let provider_delay = 1e-3
+
+let rvaas_delay = 1e-3
+
+let auth_timeout = 0.02
 
 let atrest_purpose = "journal-at-rest"
 
@@ -98,7 +98,7 @@ let build spec =
   let provider =
     Sdnctl.Provider.create net addressing
       ~policy:{ Sdnctl.Provider.isolation = spec.isolation; whitelist = spec.whitelist }
-      ~conn_delay:spec.provider_delay
+      ~conn_delay:provider_delay
   in
   Sdnctl.Provider.install_all provider;
   (* Ground-truth switch locations. *)
@@ -126,40 +126,32 @@ let build spec =
           subnet = Some (Sdnctl.Addressing.subnet addressing ~client:c);
         })
     client_keys;
-  (* Degraded data plane, if requested: every switch-to-switch and
-     host-to-switch hop draws from the same fault model. *)
-  if not (Netsim.Faults.is_none spec.link_faults) then
-    Netsim.Net.set_default_link_faults net spec.link_faults;
   (* RVaaS monitor + service.  The same keypair serves every controller
      incarnation under HA, so clients' [service_public] stays valid
      across takeovers (the standby holds the same attested identity). *)
   let service_keypair = Cryptosim.Keys.generate rng ~owner:"rvaas" in
-  let build_controller ~journal ~snapshot ~prefill ~conn =
+  let build_controller ?journal ?snapshot ?prefill ?conn () =
     let monitor =
-      Rvaas.Monitor.create net ~conn_delay:spec.rvaas_delay ~loss_prob:spec.rvaas_loss
-        ~faults:spec.rvaas_faults ?poll_retry:spec.poll_retry ?snapshot ~journal ~prefill
+      Rvaas.Monitor.create net ~conn_delay:rvaas_delay ~loss_prob:spec.rvaas_loss
+        ~faults:spec.rvaas_faults ?poll_retry:spec.poll_retry ?snapshot ?journal ?prefill
         ?conn ~polling:spec.polling ()
     in
     let service =
       Rvaas.Service.create ~retry:spec.auth_retry ~frontend:spec.frontend net monitor
-        ~directory ~geo:geo_truth ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
+        ~directory ~geo:geo_truth ~keypair:service_keypair ~auth_timeout ()
     in
     (monitor, service)
   in
   let monitor, service, controller =
     match spec.ha with
     | None ->
-      let monitor =
-        Rvaas.Monitor.create net ~conn_delay:spec.rvaas_delay ~loss_prob:spec.rvaas_loss
-          ~faults:spec.rvaas_faults ?poll_retry:spec.poll_retry ~polling:spec.polling ()
-      in
-      let service =
-        Rvaas.Service.create ~retry:spec.auth_retry ~frontend:spec.frontend net monitor
-          ~directory ~geo:geo_truth ~keypair:service_keypair ~auth_timeout:spec.auth_timeout ()
-      in
+      let monitor, service = build_controller () in
       (monitor, service, None)
     | Some config ->
-      let ctrl = Rvaas.Failover.start ~config ~build:build_controller net in
+      let ctrl =
+        Rvaas.Failover.start ~config net ~build:(fun ~journal ~snapshot ~prefill ~conn ->
+            build_controller ~journal ?snapshot ~prefill ?conn ())
+      in
       (Rvaas.Failover.monitor ctrl, Rvaas.Failover.service ctrl, Some ctrl)
   in
   (* Durable journal storage: a segmented store tailing the HA journal
@@ -215,7 +207,7 @@ let build spec =
     }
   in
   (* Let installation Flow-Mods land and one poll cycle complete. *)
-  ignore (Netsim.Sim.run (Netsim.Net.sim net) ~until:(10.0 *. spec.provider_delay +. 0.01));
+  ignore (Netsim.Sim.run (Netsim.Net.sim net) ~until:(10.0 *. provider_delay +. 0.01));
   t
 
 let run t ~until = ignore (Netsim.Sim.run (Netsim.Net.sim t.net) ~until)

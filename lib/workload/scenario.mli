@@ -22,14 +22,10 @@ type spec = {
   clients : int;  (** hosts are assigned to clients round-robin *)
   seed : int;
   polling : Rvaas.Monitor.polling;
-  provider_delay : float;  (** provider control-channel latency *)
-  rvaas_delay : float;  (** RVaaS control-channel latency *)
   rvaas_loss : float;  (** switch→RVaaS message loss probability
                            (legacy, monitor events only) *)
   rvaas_faults : Netsim.Faults.t;
       (** fault model for {e every} RVaaS control message *)
-  link_faults : Netsim.Faults.t;  (** fault model for every data-plane hop *)
-  auth_timeout : float;
   auth_retry : Rvaas.Service.retry;  (** auth-request retransmission policy *)
   poll_retry : float option;  (** stats-poll retry deadline (seconds) *)
   agent_resend : float option;  (** client answer-wait resend timeout *)
@@ -60,8 +56,9 @@ type spec = {
 }
 
 (** [default_spec topo] — two clients, seed 42, randomized polling with
-    a 50 ms mean, 1 ms control channels, no loss or faults, no retries,
-    20 ms auth timeout, isolation on. *)
+    a 50 ms mean, no loss or faults, no retries, isolation on.  Every
+    deployment has 1 ms control channels, a fault-free data plane and a
+    20 ms auth timeout. *)
 val default_spec : Netsim.Topology.t -> spec
 
 type t = {

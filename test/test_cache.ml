@@ -24,6 +24,7 @@ let fake_result traversed =
     sample_paths = [];
     handoffs = [];
     rule_visits = 0;
+    rewrote = false;
   }
 
 let key_of i =

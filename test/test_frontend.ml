@@ -33,6 +33,9 @@ let test_config_validation () =
     (raises (fun () -> mk (Some { F.rate = 1.0; burst = 0.5 }) 0.0));
   check Alcotest.bool "negative window rejected" true
     (raises (fun () -> mk None (-0.001)));
+  check Alcotest.bool "infinite window rejected" true
+    (raises (fun () -> mk None Float.infinity));
+  check Alcotest.bool "nan window rejected" true (raises (fun () -> mk None Float.nan));
   check Alcotest.bool "valid config accepted" true
     (match mk (Some { F.rate = 1.0; burst = 1.0 }) 0.01 with
     | _ -> true)
@@ -151,7 +154,7 @@ let test_flush_batching () =
   check Alcotest.int "fallback counted" 2 s.F.batch_fallbacks;
   check Alcotest.(list (list int)) "empty flush" [] (F.flush fe |> List.map (List.map (fun e -> e.F.e_client)))
 
-(* ---- unit: subsumption queue — submit-time attach and flush fold ---- *)
+(* ---- unit: subsumption queue — attach and absorption at submit ---- *)
 
 let test_subsumption_queue () =
   let fe : int F.t = F.create (F.coalescing ~subsume:true ()) in
@@ -185,20 +188,58 @@ let test_subsumption_queue () =
     Alcotest.(list int)
     "slice waiters newest first" [ 2; 1 ]
     (List.hd e.F.e_slices).F.sl_waiters;
-  (* Narrow-before-broad: submit's forward scan cannot catch it, the
-     flush-time fold does. *)
+  (* Narrow-before-broad: the broad question's submit absorbs the
+     queued narrow entry as a slice. *)
   check Alcotest.bool "narrow reopens the queue" true
     (submit ~client:0 ~sw:1 ~port:1 ~scope:narrow_scope narrow 4 = `Queued `First);
   check Alcotest.bool "broad queued after" true
     (submit ~client:0 ~sw:1 ~port:1 ~scope:broad_scope broad 5 = `Queued `Later);
   (match F.flush fe with
   | [ [ leader ] ] ->
-    check Alcotest.(list int) "broad leads the fold" [ 5 ] leader.F.e_waiters;
-    check Alcotest.int "narrow folded as slice" 1 (List.length leader.F.e_slices)
-  | _ -> Alcotest.fail "expected one folded group");
+    check Alcotest.(list int) "broad leads" [ 5 ] leader.F.e_waiters;
+    check Alcotest.int "narrow absorbed as slice" 1 (List.length leader.F.e_slices)
+  | _ -> Alcotest.fail "expected one group of one entry");
   let st = F.stats fe in
   check Alcotest.int "subsumed counted" 3 st.F.subsumed;
   check (Alcotest.float 1e-9) "subsume rate" 0.5 (F.subsume_rate fe)
+
+(* ---- unit: a broader submit absorbs the queued entries it contains ---- *)
+
+let test_absorb_nested () =
+  let fe : int F.t = F.create (F.coalescing ~subsume:true ()) in
+  let submit scope w =
+    ignore (F.admit fe ~client:0 ~now:0.0);
+    let q = Rvaas.Query.make ~scope Rvaas.Query.Reachable_endpoints in
+    F.submit fe ~key:(F.key_of ~client:0 ~sw:1 ~port:1 q) ~scope ~client:0 ~sw:1 ~port:1 q
+      ~waiter:w
+  in
+  (* Nested scopes at one point: 10.0.0.7 inside 0.0.0.0/28 inside all
+     IP traffic, submitted narrowest first. *)
+  let narrow = scope_b 7 in
+  let mid = Rvaas.Verifier.dst_prefix_hs ~value:0 ~prefix_len:28 in
+  let broad = scope_a () in
+  check Alcotest.bool "narrow opens the queue" true (submit narrow 0 = `Queued `First);
+  check Alcotest.bool "identical narrow coalesces" true (submit narrow 1 = `Coalesced);
+  check Alcotest.bool "mid queued" true (submit mid 2 = `Queued `Later);
+  check Alcotest.bool "broad queued" true (submit broad 3 = `Queued `Later);
+  check Alcotest.int "one computation left" 1 (F.queued fe);
+  (* The absorbed narrow entry's question now attaches to the slice the
+     broad entry carries for it. *)
+  check Alcotest.bool "narrow again rides the broad entry" true
+    (submit narrow 4 = `Subsumed);
+  (match F.flush fe with
+  | [ [ e ] ] ->
+    check Alcotest.(list int) "broad leads" [ 3 ] e.F.e_waiters;
+    check
+      Alcotest.(list (list int))
+      "mid and narrow ride as slices" [ [ 2 ]; [ 4; 1; 0 ] ]
+      (List.map (fun sl -> sl.F.sl_waiters) e.F.e_slices)
+  | _ -> Alcotest.fail "expected one group of one entry");
+  let st = F.stats fe in
+  check Alcotest.int "each sliced waiter counted once" 4 st.F.subsumed;
+  check Alcotest.int "one coalesced" 1 st.F.coalesced;
+  check Alcotest.int "one computation handed out" 1 st.F.entries;
+  check Alcotest.int "nothing pooled" 0 st.F.batches
 
 (* ---- system helpers ---- *)
 
@@ -655,6 +696,7 @@ let () =
           Alcotest.test_case "coalescing keys" `Quick test_coalescing_keys;
           Alcotest.test_case "flush batching" `Quick test_flush_batching;
           Alcotest.test_case "subsumption queue" `Quick test_subsumption_queue;
+          Alcotest.test_case "nested scopes absorbed" `Quick test_absorb_nested;
         ] );
       ( "service",
         [

@@ -24,6 +24,7 @@ let results_agree (a : Rvaas.Verifier.reach_result)
   && List.for_all2
        (fun (_, x) (_, y) -> Hspace.Hs.equal x y)
        a.controller_hits b.controller_hits
+  && a.rewrote = b.rewrote
 
 (* ---- the memo vs. the sweep on a monitored deployment ---- *)
 
@@ -100,6 +101,20 @@ let test_rewrite_fallback () =
             (results_agree a b))
         [ Rvaas.Verifier.dst_ip_hs 7; Rvaas.Verifier.dst_ip_hs 5 ])
     (Rvaas.Verifier.access_points topo);
+  (* Traffic to 7 entering switch 0 leaves it rewritten to 5; traffic
+     to 5 is never rewritten. *)
+  let src = List.find (fun (ep : Rvaas.Verifier.endpoint) -> ep.sw = 0)
+      (Rvaas.Verifier.access_points topo) in
+  List.iter
+    (fun (dst, expected) ->
+      let hs = Rvaas.Verifier.dst_ip_hs dst in
+      check Alcotest.bool "sweep flags the rewrite" expected
+        (Rvaas.Verifier.reach ~flows_of topo ~src_sw:src.sw ~src_port:src.port ~hs)
+          .rewrote;
+      check Alcotest.bool "reference flags the rewrite" expected
+        (Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:src.sw ~src_port:src.port ~hs)
+          .rewrote)
+    [ (7, true); (5, false) ];
   let st = Rvaas.Plumbing.stats plumbing in
   check Alcotest.bool "scoped queries on tainted sources fell back" true
     (st.Rvaas.Plumbing.fallback_sweeps > 0)
@@ -316,16 +331,25 @@ let prop_compiled_equals_reference =
           Rvaas.Verifier.dst_ip_hs hs_dst;
         ]
       in
+      (* The memo and the sweep each agree with the reference, on the
+         rewrite flag too. *)
       let agree plumbing =
         List.for_all
           (fun (ep : Rvaas.Verifier.endpoint) ->
             List.for_all
               (fun hs ->
+                let reference =
+                  Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:ep.sw
+                    ~src_port:ep.port ~hs
+                in
                 results_agree
                   (Rvaas.Plumbing.reach plumbing ~src_sw:ep.sw
                      ~src_port:ep.port ~hs)
-                  (Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw:ep.sw
-                     ~src_port:ep.port ~hs))
+                  reference
+                && (Rvaas.Verifier.reach ~flows_of topo ~src_sw:ep.sw
+                      ~src_port:ep.port ~hs)
+                     .rewrote
+                   = reference.rewrote)
               (scopes dst))
           points
       in
