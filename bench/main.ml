@@ -567,7 +567,7 @@ let e9 () =
         | _ -> assert false
       in
       let hs = Rvaas.Verifier.ip_traffic_hs () in
-      let _, lazy_s =
+      let lazy_r, lazy_s =
         wall (fun () ->
             Rvaas.Verifier.reach ~flows_of topo ~src_sw
               ~src_port:att.Netsim.Topology.port ~hs)
@@ -576,11 +576,23 @@ let e9 () =
          filters: beyond one extra rule it does not terminate in
          reasonable time, which is the ablation's finding. *)
       if extra <= 1 then begin
-        let _, eager_s =
+        let eager_r, eager_s =
           wall (fun () ->
               Rvaas.Verifier_ref.reach ~flows_of topo ~src_sw
                 ~src_port:att.Netsim.Topology.port ~hs)
         in
+        (* What is timed must agree: the same endpoints, each with the
+           same arrival space. *)
+        let same =
+          List.equal
+            (fun (a, ha) (b, hb) -> a = b && Hspace.Hs.equal ha hb)
+            lazy_r.Rvaas.Verifier.endpoints eager_r.Rvaas.Verifier.endpoints
+        in
+        if not same then begin
+          Printf.printf "E9 MISMATCH: lazy and eager endpoints differ at %d extra rules\n%!"
+            extra;
+          exit 1
+        end;
         Printf.printf "%-12d | %12.3f %12.3f | %8.1fx\n%!" extra (1000.0 *. lazy_s)
           (1000.0 *. eager_s)
           (eager_s /. Float.max 1e-9 lazy_s)
@@ -2817,6 +2829,39 @@ let micro () =
   in
   Printf.printf "guards_switch: waxman-80 switch %d, %d ingress ports, %d rules\n"
     wax_sw (List.length wax_ports) (List.length wax_rules);
+  (* E18's rolling drop filter: exact Eth_type, Ip_src and Tp_dst at
+     priority 150, above the /32 routes. *)
+  let drop_filter i =
+    Ofproto.Flow_entry.make_spec ~cookie:77 ~priority:150
+      (Ofproto.Match_.with_exact
+         (Ofproto.Match_.with_exact
+            (Ofproto.Match_.with_exact Ofproto.Match_.any Hspace.Field.Eth_type 0x800)
+            Hspace.Field.Ip_src (0xa000000 + i))
+         Hspace.Field.Tp_dst
+         (5000 + (i mod 50)))
+      []
+  in
+  let filter_cube i = Ofproto.Match_.to_tern (drop_filter i).match_ in
+  (* A route's slice with one filter subtracted, then a second. *)
+  let split_1 = Hspace.Hs.diff_cube (Rvaas.Verifier.dst_ip_hs 0x0A000105) (filter_cube 1) in
+  let split_2 = Hspace.Hs.diff_cube split_1 (filter_cube 2) in
+  Printf.printf "hs_diff_cube_filter: 1 -> %d cubes, %d -> %d cubes\n"
+    (Hspace.Hs.cube_count split_1) (Hspace.Hs.cube_count split_1)
+    (Hspace.Hs.cube_count split_2);
+  (* One Flow-Mod per call on the waxman switch: a fresh drop filter
+     added on odd calls, removed on even ones. *)
+  let flowmods = ref 0 and wax_cur = ref wax_rules in
+  let fm_ctx =
+    Rvaas.Verifier.context
+      ~flows_of:(fun sw -> if sw = wax_sw then !wax_cur else wax_flows sw)
+      wax
+  in
+  let with_filter spec =
+    let above, below =
+      List.partition (fun (r : Ofproto.Flow_entry.spec) -> r.priority >= 150) wax_rules
+    in
+    above @ (spec :: below)
+  in
   let service_kp = Cryptosim.Keys.generate rng ~owner:"bench" in
   let empty_answer =
     {
@@ -2857,9 +2902,24 @@ let micro () =
       snapshot_age = 0.0191;
     }
   in
+  (* What one drop filter leaves a transfer answer: 9 endpoints of 48
+     cubes each. *)
+  let answer_transfer =
+    {
+      empty_answer with
+      Rvaas.Query.nonce = "293c191f99905fcb";
+      kind = Rvaas.Query.Transfer_summary;
+      transfer =
+        List.init 9 (fun i ->
+            ( 20 + i,
+              1,
+              Hspace.Hs.diff_cube (Rvaas.Verifier.dst_ip_hs (0x0A000101 + i)) (filter_cube 1) ));
+    }
+  in
   let kernels =
     [
       ("tern_inter", fun () -> ignore (Hspace.Tern.inter cube_a cube_b));
+      ("tern_to_string", fun () -> ignore (Hspace.Tern.to_string cube_a));
       ("tern_diff", fun () -> ignore (Hspace.Tern.diff cube_a cube_b));
       ("tern_of_string", fun () -> ignore (Hspace.Tern.of_string cube_text));
       (* Predicates the header-space algebra calls on every cube. *)
@@ -2874,6 +2934,12 @@ let micro () =
       ("hs_diff", fun () -> ignore (Hspace.Hs.diff hs_a hs_b));
       (* The slice filter's test, on [hs_inter]'s operands. *)
       ("hs_overlaps", fun () -> ignore (Hspace.Hs.overlaps hs_a hs_b));
+      (* Shadow subtraction of a drop filter from a route's slice, and
+         of a second filter from what the first one left. *)
+      ( "hs_diff_cube_filter_1",
+        fun () -> ignore (Hspace.Hs.diff_cube (Rvaas.Verifier.dst_ip_hs 0x0A000105) (filter_cube 1))
+      );
+      ("hs_diff_cube_filter_48", fun () -> ignore (Hspace.Hs.diff_cube split_1 (filter_cube 2)));
       ( "flow_lookup_100",
         fun () -> ignore (Ofproto.Flow_table.lookup table ~in_port:0 header) );
       ( "reach_fattree_k4",
@@ -2888,6 +2954,15 @@ let micro () =
           Rvaas.Verifier.invalidate_switch wax_ctx ~sw:wax_sw;
           List.iter
             (fun port -> ignore (Rvaas.Verifier.guards wax_ctx ~sw:wax_sw ~port))
+            wax_ports );
+      ( "derive_after_flowmod",
+        fun () ->
+          incr flowmods;
+          wax_cur :=
+            if !flowmods land 1 = 1 then with_filter (drop_filter !flowmods) else wax_rules;
+          Rvaas.Verifier.invalidate_switch fm_ctx ~sw:wax_sw;
+          List.iter
+            (fun port -> ignore (Rvaas.Verifier.guards fm_ctx ~sw:wax_sw ~port))
             wax_ports );
       ("snapshot_digest", fun () -> ignore (Rvaas.Snapshot.digest snapshot));
       ("flow_table_add_100", fun () -> Ofproto.Flow_table.add route_table mid ~now:0.0);
@@ -2906,6 +2981,13 @@ let micro () =
         fun () -> ignore (Rvaas.Codec.encode_answer empty_answer ~signer:service_kp) );
       ( "answer_codec_26",
         fun () -> ignore (Rvaas.Codec.encode_answer answer_26 ~signer:service_kp) );
+      (* Encoded, then decoded as the client agent does. *)
+      ( "answer_codec_transfer",
+        fun () ->
+          ignore
+            (Rvaas.Codec.decode_answer
+               (Rvaas.Codec.encode_answer answer_transfer ~signer:service_kp)
+               ~service_public:(Cryptosim.Keys.public service_kp)) );
     ]
   in
   (* Allocation pressure alongside latency: the mean minor-heap words

@@ -32,8 +32,11 @@ let normalise_ref width cubes =
    fixed-bit count and runs one subsumption sweep.  Sorting makes a
    single pass sufficient: [c ⊆ d] forces every fixed bit of [d] to be
    fixed in [c], so a cube can only be subsumed by one of equal or
-   lower fixed count — i.e. by a cube already kept (equal-count
-   subsumption means structural equality, which dedup removed). *)
+   lower fixed count — i.e. by a cube already kept.  Equal-count
+   subsumption means structural equality, which dedup removed, so the
+   sweep tests a cube only against the kept cubes of strictly lower
+   count: the cubes one set difference splits off all fix one more bit
+   than their source, and need no test against each other. *)
 module Builder = struct
   type builder = {
     b_width : int;
@@ -51,6 +54,11 @@ module Builder = struct
      hash table (word-compare with early exit vs. hashing every word
      plus table allocation on every set operation). *)
   let small = 12
+
+  (* Non-empty cubes only: dedup has dropped the empty ones. *)
+  let rec subsumed c = function
+    | [] -> false
+    | d :: rest -> Tern.nonempty_subset c d || subsumed c rest
 
   let build b =
     match b.items with
@@ -91,11 +99,16 @@ module Builder = struct
       else begin
         let arr = Array.of_list !uniq in
         Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
-        let kept = ref [] in
+        (* [kept] is newest first; [fewer] is the part of it kept before
+           the current fixed-bit count began. *)
+        let kept = ref [] and fewer = ref [] and count = ref (-1) in
         Array.iter
-          (fun (_, c) ->
-            if not (List.exists (fun d -> Tern.subset c d) !kept) then
-              kept := c :: !kept)
+          (fun (k, c) ->
+            if k <> !count then begin
+              count := k;
+              fewer := !kept
+            end;
+            if not (subsumed c !fewer) then kept := c :: !kept)
           arr;
         let cubes = List.rev !kept in
         { width = b.b_width; cubes; bound = join_all b.b_width cubes }

@@ -31,7 +31,9 @@ val of_cubes_ref : int -> Tern.t list -> t
     added — one hash-dedup plus a single fixed-count-ordered
     subsumption sweep instead of a normalisation per union, which is
     how the query front-end pools the scopes of a whole batch of
-    queries into one swept header space. *)
+    queries into one swept header space.  The sweep tests a cube only
+    against kept cubes that fix fewer bits, the only ones that can
+    contain it once duplicates are gone. *)
 module Builder : sig
   type builder
 

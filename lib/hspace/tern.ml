@@ -185,6 +185,14 @@ let subset a b =
   check_width "Tern.subset" a b;
   is_empty a || subset_from a.words b.words 0
 
+(* Last word first: the transport and IP fields, where cubes of a split
+   set differ, sit in the high words. *)
+let rec subset_down aw bw k = k < 0 || (aw.(k) land bw.(k) = aw.(k) && subset_down aw bw (k - 1))
+
+let nonempty_subset a b =
+  check_width "Tern.nonempty_subset" a b;
+  subset_down a.words b.words (Array.length a.words - 1)
+
 let overlaps a b = not (disjoint a b)
 
 let equal a b = a.width = b.width && a.words = b.words
@@ -329,6 +337,17 @@ let of_string s =
     s;
   t
 
+(* Straight from the words, two encoding bits per character. *)
+let pair_char = "z01x"
+
 let to_string t =
-  String.init t.width (fun i ->
-      match get t i with Zero -> '0' | One -> '1' | Any -> 'x' | Empty -> 'z')
+  let s = Bytes.create t.width in
+  Array.iteri
+    (fun k w ->
+      let base = k * bits_per_word in
+      let used = t.width - base in
+      for j = 0 to (if used < bits_per_word then used else bits_per_word) - 1 do
+        Bytes.unsafe_set s (base + j) pair_char.[(w lsr (2 * j)) land 3]
+      done)
+    t.words;
+  Bytes.unsafe_to_string s

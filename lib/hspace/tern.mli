@@ -58,6 +58,10 @@ val inter : t -> t -> t
     Empty vectors are subsets of everything. *)
 val subset : t -> t -> bool
 
+(** [nonempty_subset a b] is [subset a b] for a non-empty [a], without
+    the emptiness scan of [a]; it compares the last word first. *)
+val nonempty_subset : t -> t -> bool
+
 (** [overlaps a b] is true when [inter a b] is non-empty: [not
     (disjoint a b)], so it builds no vector. *)
 val overlaps : t -> t -> bool

@@ -298,34 +298,33 @@ let decode_answer payload ~service_public =
               path_hops = Option.bind (lookup "path" pairs) parse_pair;
               meters = List.filter_map parse_pair (lookup_all "meter" pairs);
               transfer =
-                (let cells =
-                   List.filter_map
-                     (fun line ->
-                       match String.split_on_char ',' line with
-                       | [ sw; port; cube ] -> (
-                         match
-                           ( int_of_string_opt sw,
-                             int_of_string_opt port,
-                             try Some (Hspace.Tern.of_string cube)
-                             with Invalid_argument _ -> None )
-                         with
-                         | Some sw, Some port, Some cube -> Some ((sw, port), cube)
-                         | _ -> None)
-                       | _ -> None)
-                     (lookup_all "tf" pairs)
-                 in
-                 let keys = List.sort_uniq compare (List.map fst cells) in
-                 List.map
-                   (fun key ->
-                     let cubes =
-                       List.filter_map
-                         (fun (k, cube) -> if k = key then Some cube else None)
-                         cells
-                     in
-                     ( fst key,
-                       snd key,
-                       Hspace.Hs.of_cubes Hspace.Field.total_width cubes ))
-                   keys);
+                (* One pass over the [tf] lines: each endpoint's cubes
+                   in line order, endpoints in ascending order. *)
+                (let groups = Hashtbl.create 8 in
+                 List.iter
+                   (fun line ->
+                     match String.split_on_char ',' line with
+                     | [ sw; port; cube ] -> (
+                       match
+                         ( int_of_string_opt sw,
+                           int_of_string_opt port,
+                           try Some (Hspace.Tern.of_string cube)
+                           with Invalid_argument _ -> None )
+                       with
+                       | Some sw, Some port, Some cube ->
+                         let key = (sw, port) in
+                         Hashtbl.replace groups key
+                           (cube :: Option.value ~default:[] (Hashtbl.find_opt groups key))
+                       | _ -> ())
+                     | _ -> ())
+                   (lookup_all "tf" pairs);
+                 Hashtbl.fold
+                   (fun (sw, port) cubes acc ->
+                     (sw, port, Hspace.Hs.of_cubes Hspace.Field.total_width (List.rev cubes))
+                     :: acc)
+                   groups []
+                 |> List.sort (fun (a, b, _) (c, d, _) ->
+                        match Int.compare a c with 0 -> Int.compare b d | n -> n));
               snapshot_age;
               throttled = lookup "throttled" pairs = Some "1";
             }

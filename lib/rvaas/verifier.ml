@@ -28,47 +28,122 @@ type guarded = {
 }
 
 (* One rule of a switch, derived once per configuration change, on the
-   switch's first visit.  Each ingress port's guard list is a filter
-   over these records. *)
+   switch's first visit after it.  Each ingress port's guard list is a
+   filter over these records.  The switch's next derivation updates in
+   place the record of every spec its table still holds, the same
+   object in the same order, and keeps its cube and prefilter. *)
 type rule = {
   spec : Ofproto.Flow_entry.spec;
   cube : Hspace.Tern.t;
-  above : rule list;
+  pre : Hspace.Tern.prefilter;
+  ip_dst : int;  (* the Ip_dst value the match fixes exactly, or -1 *)
+  mutable pos : int;  (* index in the newest derivation's table *)
+  mutable gen : int;  (* the newest derivation holding the rule *)
+  mutable above : rule list;
       (* the earlier rules whose match overlaps this one, nearest first;
          rules bound to another ingress port never overlap *)
   mutable guard : guarded option;
       (* built on the first port where the rule is not fully shadowed:
-         its prefilter, and its guard, shared, on every port where no
-         port-bound rule of [above] applies *)
+         its guard, shared on every port where no port-bound rule of
+         [above] applies *)
 }
 
 let applies (spec : Ofproto.Flow_entry.spec) port =
   match Ofproto.Match_.in_port spec.match_ with None -> true | Some p -> p = port
 
-let port_free r = Ofproto.Match_.in_port r.spec.match_ = None
+let port_free r = Option.is_none (Ofproto.Match_.in_port r.spec.match_)
 
-(* [flows] is priority-descending (Flow_table invariant): walking down,
-   [earlier] holds the rules seen so far, nearest first.  The field-wise
+let ip_dst_mask = Hspace.Field.prefix_mask Hspace.Field.Ip_dst 32
+
+let exact_ip_dst m =
+  match List.assq_opt Hspace.Field.Ip_dst (Ofproto.Match_.fields m) with
+  | Some { Ofproto.Match_.value; mask } when mask = ip_dst_mask -> value
+  | Some _ | None -> -1
+
+(* Two lists of rules of this derivation, each nearest first, as one. *)
+let rec merge a b =
+  match a, b with
+  | [], l | l, [] -> l
+  | x :: ra, y :: rb -> if x.pos > y.pos then x :: merge ra b else y :: merge a rb
+
+module Ints = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x
+end)
+
+(* The rule of [old] holding [spec], with the rules after it, searched
+   among rules of [spec]'s priority and above: both tables are
+   priority-descending. *)
+let rec find_from (spec : Ofproto.Flow_entry.spec) = function
+  | [] -> None
+  | r :: rest ->
+    if r.spec == spec then Some (r, rest)
+    else if r.spec.priority < spec.priority then None
+    else find_from spec rest
+
+(* [flows] is priority-descending (Flow_table invariant); [old] is the
+   switch's previous derivation, [[]] on its first visit, and [gen]
+   numbers this one.  A rule whose spec [old] holds at or after the
+   place the previous kept rule held is kept; the [old] rules skipped
+   to reach it left the table or moved, and a rule that moved up is
+   derived afresh.  A kept rule's overlap list is [old]'s, less the
+   rules that left and plus the inserted rules above it that overlap
+   it, and an unchanged list keeps the rule's guard.  An inserted rule
+   takes its overlaps from the earlier rules: those exact on its Ip_dst
+   and those not exact on Ip_dst when it is exact on one (two different
+   exact values never overlap), all of them otherwise.  The field-wise
    [Match_.overlaps] also compares in_port constraints and builds no
    cube. *)
-let derive flows =
-  List.rev
-    (List.fold_left
-       (fun earlier (spec : Ofproto.Flow_entry.spec) ->
-         let above =
-           List.filter (fun a -> Ofproto.Match_.overlaps a.spec.match_ spec.match_) earlier
-         in
-         { spec; cube = Ofproto.Match_.to_tern spec.match_; above; guard = None } :: earlier)
-       [] flows)
+let derive ~gen ~old flows =
+  let exact = Ints.create 16 and loose = ref [] and earlier = ref [] in
+  let inserted = ref [] and cursor = ref old in
+  let alive a = a.gen = gen in
+  let exact_on ip_dst = Option.value ~default:[] (Ints.find_opt exact ip_dst) in
+  List.mapi
+    (fun pos (spec : Ofproto.Flow_entry.spec) ->
+      let overlaps a = Ofproto.Match_.overlaps a.spec.match_ spec.match_ in
+      let r =
+        match find_from spec !cursor with
+        | Some (r, rest) ->
+          cursor := rest;
+          r.pos <- pos;
+          r.gen <- gen;
+          (match List.filter overlaps !inserted with
+          | [] when List.for_all alive r.above -> ()
+          | fresh ->
+            r.above <- merge (List.filter alive r.above) fresh;
+            r.guard <- None);
+          r
+        | None ->
+          let cube = Ofproto.Match_.to_tern spec.match_ in
+          let ip_dst = exact_ip_dst spec.match_ in
+          let above =
+            if ip_dst < 0 then List.filter overlaps !earlier
+            else merge (List.filter overlaps (exact_on ip_dst)) (List.filter overlaps !loose)
+          in
+          let r =
+            { spec; cube; pre = Hspace.Tern.prefilter cube; ip_dst; pos; gen; above; guard = None }
+          in
+          inserted := r :: !inserted;
+          r
+      in
+      earlier := r :: !earlier;
+      if r.ip_dst < 0 then loose := r :: !loose
+      else Ints.replace exact r.ip_dst (r :: exact_on r.ip_dst);
+      r)
+    flows
 
 (* A rule whose cube an earlier rule applicable on [port] contains is
    fully shadowed there and dropped, before anything is built for it. *)
 let guards_on rules port =
-  let on_port r = applies r.spec port in
+  let on_port a = applies a.spec port in
   let shadow keep r = List.filter_map (fun a -> if keep a then Some a.cube else None) r.above in
   List.filter_map
     (fun r ->
-      let covers a = on_port a && Hspace.Tern.subset r.cube a.cube in
+      let covers a = on_port a && Hspace.Tern.nonempty_subset r.cube a.cube in
       if (not (on_port r)) || List.exists covers r.above then None
       else
         let g =
@@ -76,12 +151,7 @@ let guards_on rules port =
           | Some g -> g
           | None ->
             let g =
-              {
-                g_spec = r.spec;
-                g_cube = r.cube;
-                g_shadow = shadow port_free r;
-                g_pre = Hspace.Tern.prefilter r.cube;
-              }
+              { g_spec = r.spec; g_cube = r.cube; g_shadow = shadow port_free r; g_pre = r.pre }
             in
             r.guard <- Some g;
             g
@@ -90,10 +160,12 @@ let guards_on rules port =
         else Some { g with g_shadow = shadow on_port r })
     rules
 
+(* Shared by every empty result: sets are immutable. *)
+let nothing = Hspace.Hs.empty width
+
 (* [hs ∩ cube \ shadow] — the packet set this rule actually handles. *)
 let rule_slice hs { g_cube; g_shadow; g_pre; _ } =
-  if Hspace.Tern.prefilter_disjoint g_pre (Hspace.Hs.bound hs) then
-    Hspace.Hs.empty width
+  if Hspace.Tern.prefilter_disjoint g_pre (Hspace.Hs.bound hs) then nothing
   else
   let matched = Hspace.Hs.inter_cube hs g_cube in
   List.fold_left
@@ -105,39 +177,65 @@ let rewrite_hs hs f v =
     (List.map (fun c -> Hspace.Field.set_exact c f v) (Hspace.Hs.cubes hs))
 
 type switch_guards = {
+  gen : int;
   rules : rule list;  (* the whole table, in table order *)
-  mutable ports : (int * guarded list) list;  (* ingress ports visited so far *)
+  bound : int list;  (* the ingress ports some rule is bound to *)
+  mutable stale : bool;  (* the table changed since [rules] *)
+  mutable free : guarded list option;  (* the one list of every other port *)
+  mutable ports : (int * guarded list) list;  (* bound ports visited so far *)
 }
 
 type ctx = {
   flows_of : int -> Ofproto.Flow_entry.spec list;
   topo : Netsim.Topology.t;
   guards_cache : (int, switch_guards) Hashtbl.t;
-      (* per switch, so a Flow-Mod drops the rules and every port's
-         guards with one removal *)
+      (* per switch, so a Flow-Mod marks the rules and every port's
+         guards stale at once *)
 }
 
 let context ~flows_of topo = { flows_of; topo; guards_cache = Hashtbl.create 64 }
 
 let topology ctx = ctx.topo
 
-let invalidate_switch ctx ~sw = Hashtbl.remove ctx.guards_cache sw
+let invalidate_switch ctx ~sw =
+  match Hashtbl.find_opt ctx.guards_cache sw with
+  | Some s ->
+    s.stale <- true;
+    s.free <- None;
+    s.ports <- []
+  | None -> ()
 
 let guards ctx ~sw ~port =
   let s =
     match Hashtbl.find_opt ctx.guards_cache sw with
-    | Some s -> s
-    | None ->
-      let s = { rules = derive (ctx.flows_of sw); ports = [] } in
+    | Some s when not s.stale -> s
+    | prev ->
+      let gen, old = match prev with Some p -> (p.gen + 1, p.rules) | None -> (0, []) in
+      let rules = derive ~gen ~old (ctx.flows_of sw) in
+      let bound =
+        List.sort_uniq Int.compare
+          (List.filter_map (fun r -> Ofproto.Match_.in_port r.spec.match_) rules)
+      in
+      let s = { gen; rules; bound; stale = false; free = None; ports = [] } in
       Hashtbl.replace ctx.guards_cache sw s;
       s
   in
-  match List.assq_opt port s.ports with
-  | Some g -> g
-  | None ->
-    let g = guards_on s.rules port in
-    s.ports <- (port, g) :: s.ports;
-    g
+  (* On a port no rule is bound to, exactly the port-free rules apply,
+     so every such port has the same guards. *)
+  if List.mem port s.bound then (
+    match List.assq_opt port s.ports with
+    | Some g -> g
+    | None ->
+      let g = guards_on s.rules port in
+      s.ports <- (port, g) :: s.ports;
+      g)
+  else
+    match s.free with
+    | Some g -> g
+    | None ->
+      let g = guards_on s.rules port in
+      s.free <- Some g;
+      g
 
 type trace = {
   result : reach_result;
@@ -161,7 +259,7 @@ let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
      O(1) per dequeue instead of rescanning the witness path. *)
   let enqueue sw port hs path depth =
     if not (Hspace.Hs.is_empty hs) then begin
-      let old = Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt seen (sw, port)) in
+      let old = Option.value ~default:nothing (Hashtbl.find_opt seen (sw, port)) in
       let fresh = Hspace.Hs.diff hs old in
       if not (Hspace.Hs.is_empty fresh) then begin
         Hashtbl.replace seen (sw, port) (Hspace.Hs.union old fresh);
@@ -182,7 +280,7 @@ let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
       | Netsim.Topology.Host host ->
         let ep = { host; sw; port = out_port } in
         let old =
-          Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt endpoints ep)
+          Option.value ~default:nothing (Hashtbl.find_opt endpoints ep)
         in
         Hashtbl.replace endpoints ep (Hspace.Hs.union old out);
         arrivals := (ep, out, path) :: !arrivals;
@@ -193,7 +291,7 @@ let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
         else begin
           let key = (next_sw, far.Netsim.Topology.port) in
           let old =
-            Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt handoffs key)
+            Option.value ~default:nothing (Hashtbl.find_opt handoffs key)
           in
           Hashtbl.replace handoffs key (Hspace.Hs.union old out)
         end)
@@ -214,7 +312,7 @@ let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
                except through [In_port]. *)
             let cur = ref matched
             and rewritten = ref false
-            and ctrl = ref (Hspace.Hs.empty width) in
+            and ctrl = ref nothing in
             List.iter
               (fun action ->
                 match action with
@@ -235,7 +333,7 @@ let trace_in ?(boundary = fun _ -> true) ctx ~src_sw ~src_port ~hs =
               guarded.g_spec.actions;
             if not (Hspace.Hs.is_empty !ctrl) then begin
               let old =
-                Option.value ~default:(Hspace.Hs.empty width) (Hashtbl.find_opt controller sw)
+                Option.value ~default:nothing (Hashtbl.find_opt controller sw)
               in
               Hashtbl.replace controller sw (Hspace.Hs.union old !ctrl)
             end

@@ -60,12 +60,16 @@ type guarded = {
 
 (** A verification context caches rule guards, shared by every query
     against the same configuration view.  A switch's rules are derived
-    once, on its first visit (each rule's cube and the earlier rules
-    overlapping it), and each ingress port's guards are filtered from
-    that derivation on the port's first visit; ports where the same
-    rules apply share guard records.  {!invalidate_switch} keeps a
-    long-lived context current, such as the one {!Service} answers
-    from; the {!Plumbing} memo runs over one too. *)
+    once per configuration change, on its first visit after it (each
+    rule's cube and prefilter, and the earlier rules overlapping it),
+    and each ingress port's guards are filtered from that derivation
+    on the port's first visit; ports where the same rules apply share
+    guard records.  A re-derivation starts from the previous one: a
+    rule the table still holds keeps its cube and prefilter, and its
+    overlap list is patched for the rules inserted and removed.
+    {!invalidate_switch} keeps a long-lived context current, such as
+    the one {!Service} answers from; the {!Plumbing} memo runs over
+    one too. *)
 type ctx
 
 (** [context ~flows_of topo] builds a context (guards are derived
@@ -77,15 +81,18 @@ val context :
 (** [topology ctx] is the wiring plan [ctx] was built over. *)
 val topology : ctx -> Netsim.Topology.t
 
-(** [invalidate_switch ctx ~sw] drops [sw]'s derived rules and every
-    port's guards — call when that switch's configuration view changed.
-    Other switches' caches stay valid, making long-lived contexts cheap
-    to keep current under churn. *)
+(** [invalidate_switch ctx ~sw] marks [sw]'s derivation stale and drops
+    every port's guards — call when that switch's configuration view
+    changed.  The stale rules, with their cubes, stay until [sw]'s next
+    visit, which re-derives from them.  Other switches' caches stay
+    valid, making long-lived contexts cheap to keep current under
+    churn. *)
 val invalidate_switch : ctx -> sw:int -> unit
 
 (** [guards ctx ~sw ~port] is the guarded rules applicable on ingress
     [port] of [sw], priority-descending, with fully-shadowed rules
-    dropped — from the cache, derived on a miss. *)
+    dropped — from the cache, derived on a miss.  Every port of [sw]
+    to which no rule is bound gets the one physically shared list. *)
 val guards : ctx -> sw:int -> port:int -> guarded list
 
 (** What one traversal saw beyond its {!reach_result}: the raw material

@@ -393,6 +393,106 @@ let prop_of_string_per_char =
       string_size ~gen:(oneofl [ '0'; '1'; 'x'; 'X'; '*'; 'z'; 'Z' ]) (int_range 1 300))
     (fun s -> T.equal (T.of_string s) (per_char_of_string s))
 
+(* The renderer as it read bit by bit: [to_string] now reads the
+   words two encoding bits per character. *)
+let per_bit_to_string t =
+  String.init (T.width t) (fun i ->
+      match T.get t i with T.Zero -> '0' | T.One -> '1' | T.Any -> 'x' | T.Empty -> 'z')
+
+let prop_to_string_per_bit =
+  QCheck2.Test.make ~name:"to_string = per-bit renderer" ~count:500
+    QCheck2.Gen.(
+      string_size ~gen:(frequencyl [ (4, '0'); (4, '1'); (6, 'x'); (1, 'z') ]) (int_range 1 300))
+    (fun s ->
+      let t = T.of_string s in
+      String.equal (T.to_string t) (per_bit_to_string t))
+
+(* ---- the batch builder's cube order ---- *)
+
+(* [Hs.Builder.build] as it was before its sweep skipped the kept cubes
+   of equal fixed-bit count: the same dedup and sort, each cube tested
+   against every kept cube.  Transfer answers print the cube order it
+   leaves, so the two must agree cube for cube, in order.  [items] is
+   the builder's list, newest first. *)
+let builder_before items =
+  let uniq = ref [] and n = ref 0 in
+  (if List.length items <= 12 then
+     let kept = ref [] in
+     List.iter
+       (fun c ->
+         if (not (T.is_empty c)) && not (List.exists (T.equal c) !kept) then begin
+           kept := c :: !kept;
+           uniq := (T.count_fixed c, c) :: !uniq;
+           incr n
+         end)
+       items
+   else
+     let seen = Hashtbl.create (2 * List.length items) in
+     List.iter
+       (fun c ->
+         if not (T.is_empty c) then begin
+           let h = T.hash c in
+           if not (List.exists (T.equal c) (Hashtbl.find_all seen h)) then begin
+             Hashtbl.add seen h c;
+             uniq := (T.count_fixed c, c) :: !uniq;
+             incr n
+           end
+         end)
+       items);
+  if !n = 0 then []
+  else begin
+    let arr = Array.of_list !uniq in
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
+    let kept = ref [] in
+    Array.iter
+      (fun (_, c) -> if not (List.exists (fun d -> T.subset c d) !kept) then kept := c :: !kept)
+      arr;
+    List.rev !kept
+  end
+
+(* Cubes over a few words that fix bits from one small pool, so many
+   share a fixed-bit count, contain one another or repeat; a few are
+   empty, and some are split off one cube by [Tern.diff] as a shadow
+   subtraction splits a slice. *)
+let builder_input_gen =
+  QCheck2.Gen.(
+    let* width = int_range 40 130 in
+    let* pool = list_repeat 6 (int_range 0 (width - 1)) in
+    let cube =
+      let* fixed = list_size (int_range 0 5) (pair (oneofl pool) bool) in
+      let+ empty = frequencyl [ (12, false); (1, true) ] in
+      let c =
+        List.fold_left
+          (fun c (i, b) -> T.set c i (if b then T.One else T.Zero))
+          (T.all_x width) fixed
+      in
+      if empty then T.set c (List.hd pool) T.Empty else c
+    in
+    let* plain = list_size (int_range 0 50) cube in
+    let* split = opt (pair cube cube) in
+    let+ order = int_range 0 2 in
+    let split = match split with None -> [] | Some (a, b) -> T.diff a b in
+    let cs = plain @ split in
+    (width, match order with 0 -> cs | 1 -> List.rev cs | _ -> split @ plain @ split))
+
+let prop_of_cubes_order =
+  QCheck2.Test.make ~name:"of_cubes = builder before, cube for cube" ~count:500
+    builder_input_gen (fun (width, cs) ->
+      (* The builder holds its cubes newest first. *)
+      List.equal T.equal (Hs.cubes (Hs.of_cubes width cs)) (builder_before (List.rev cs)))
+
+let prop_nonempty_subset =
+  QCheck2.Test.make ~name:"nonempty_subset = subset on non-empty cubes" ~count:500
+    QCheck2.Gen.(
+      pair builder_input_gen (pair (int_range 0 1000) (int_range 0 1000)))
+    (fun ((_, cs), (i, j)) ->
+      match List.filter (fun c -> not (T.is_empty c)) cs with
+      | [] -> true
+      | nonempty ->
+        let n = List.length nonempty in
+        let a = List.nth nonempty (i mod n) and b = List.nth nonempty (j mod n) in
+        T.nonempty_subset a b = T.subset a b && T.nonempty_subset a a)
+
 (* ---- qcheck: Hs algebra vs brute-force enumeration ---- *)
 
 (* Width 8 keeps the concrete universe (256 vectors) fully enumerable,
@@ -502,6 +602,8 @@ let () =
           Alcotest.test_case "count_fixed" `Quick test_tern_count_fixed;
           Alcotest.test_case "of_string invalid" `Quick test_tern_of_string_invalid;
           QCheck_alcotest.to_alcotest prop_of_string_per_char;
+          QCheck_alcotest.to_alcotest prop_to_string_per_bit;
+          QCheck_alcotest.to_alcotest prop_nonempty_subset;
           QCheck_alcotest.to_alcotest prop_inter_matches_naive;
           QCheck_alcotest.to_alcotest prop_overlaps_is_nonempty_inter;
         ] );
@@ -515,6 +617,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_hs_subset_brute_force;
           QCheck_alcotest.to_alcotest prop_overlaps_is_nonempty_hs_inter;
           QCheck_alcotest.to_alcotest prop_builder_matches_ref;
+          QCheck_alcotest.to_alcotest prop_of_cubes_order;
           QCheck_alcotest.to_alcotest prop_bound_contains_cubes;
           QCheck_alcotest.to_alcotest prop_hash_respects_structure;
         ] );

@@ -462,6 +462,81 @@ let prop_answer_roundtrip =
       | Error _ -> false
       | Ok a' -> answer_equal a a')
 
+(* [Codec.decode_answer]'s grouping of [tf] lines as it was: a sorted
+   key list, then one filter over every line per key.  It now groups in
+   one pass, which must decode the same answers. *)
+let transfer_grouping_before lines =
+  let cells =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ',' line with
+        | [ sw; port; cube ] -> (
+          match
+            ( int_of_string_opt sw,
+              int_of_string_opt port,
+              try Some (Hspace.Tern.of_string cube) with Invalid_argument _ -> None )
+          with
+          | Some sw, Some port, Some cube -> Some ((sw, port), cube)
+          | _ -> None)
+        | _ -> None)
+      lines
+  in
+  let keys = List.sort_uniq compare (List.map fst cells) in
+  List.map
+    (fun key ->
+      let cubes = List.filter_map (fun (k, cube) -> if k = key then Some cube else None) cells in
+      (fst key, snd key, Hspace.Hs.of_cubes Hspace.Field.total_width cubes))
+    keys
+
+(* [tf] lines of a few endpoints, interleaved, as no encoder writes
+   them; cubes on few addresses and ports, so some contain others; now
+   and then a line the decoder must skip. *)
+let tf_lines_gen =
+  QCheck2.Gen.(
+    let cube =
+      let* ip = opt (int_range 0 3) and* port = opt (int_range 0 2) in
+      let c = Hspace.Tern.all_x Hspace.Field.total_width in
+      let c = match ip with None -> c | Some ip -> Hspace.Field.set_exact c Hspace.Field.Ip_dst ip in
+      return
+        (match port with None -> c | Some p -> Hspace.Field.set_exact c Hspace.Field.Tp_dst p)
+    in
+    let line =
+      let* sw = frequency [ (4, int_range 0 2); (1, wide_int_gen) ] and* port = int_range 0 1 in
+      let* c = cube in
+      frequencyl
+        [
+          (12, Printf.sprintf "%d,%d,%s" sw port (Hspace.Tern.to_string c));
+          (1, Printf.sprintf "%d,%d,01q" sw port);
+          (1, Printf.sprintf "%d,x,%s" sw (Hspace.Tern.to_string c));
+        ]
+    in
+    list_size (int_range 0 30) line)
+
+let prop_transfer_decode_grouping =
+  QCheck2.Test.make ~name:"decoded transfer = grouping before" ~count:300
+    QCheck2.Gen.(pair answer_gen tf_lines_gen)
+    (fun (a, tf) ->
+      let plain = reference_encode_answer { a with transfer = [] } ~signer:service_kp in
+      let lines = String.split_on_char '\n' plain in
+      (* Every line but the signature and the age, then the [tf] lines,
+         then the age, signed again. *)
+      let head = List.filteri (fun i _ -> i < List.length lines - 2) lines in
+      let age = List.nth lines (List.length lines - 2) in
+      let body = String.concat "\n" (head @ List.map (fun l -> "tf=" ^ l) tf @ [ age ]) in
+      let payload = body ^ "\nsig=" ^ Cryptosim.Keys.sign service_kp body in
+      match
+        Rvaas.Codec.decode_answer payload ~service_public:(Cryptosim.Keys.public service_kp)
+      with
+      | Error _ -> false
+      | Ok got ->
+        let want = transfer_grouping_before tf in
+        List.length got.transfer = List.length want
+        && List.for_all2
+             (fun (sw, port, hs) (sw', port', hs') ->
+               sw = sw' && port = port'
+               && List.equal Hspace.Tern.equal (Hspace.Hs.cubes hs) (Hspace.Hs.cubes hs'))
+             got.transfer want)
+
 let prop_request_roundtrip =
   QCheck2.Test.make ~name:"request encode-decode identity" ~count:300
     QCheck2.Gen.(
@@ -989,6 +1064,125 @@ let prop_guards_match_per_port =
       Rvaas.Verifier.invalidate_switch ctx ~sw:0;
       before && same_everywhere ())
 
+(* An edit a provider can make to a switch's table. *)
+type guard_edit =
+  | Add of Ofproto.Flow_entry.spec
+  | Delete of int  (* the rule at this index, modulo the table size *)
+  | Readd of int  (* delete that rule, then add the same spec object *)
+  | Replace of int list
+      (* every rule re-reported by a stats reply, a fresh copy of the
+         spec at each listed index, the same object elsewhere *)
+  | Batch of int * Ofproto.Flow_entry.spec list
+      (* a delete and a few adds before one re-derivation, as when
+         several Flow-Mods land between two questions *)
+
+(* Exact /32 destinations on four addresses, some bound to a port, so
+   exact rules share and differ in Ip_dst. *)
+let exact_rule_gen =
+  QCheck2.Gen.(
+    let* priority = int_range 1 4 in
+    let* in_port = opt ~ratio:0.3 (int_range 0 (guards_port_count - 1)) in
+    let* dst = int_range 0 3 in
+    let+ out = int_range 0 (guards_port_count - 1) in
+    let m = Ofproto.Match_.any in
+    let m = match in_port with None -> m | Some p -> Ofproto.Match_.with_in_port m p in
+    Ofproto.Flow_entry.make_spec ~priority
+      (Ofproto.Match_.with_exact m Hspace.Field.Ip_dst (0x0A000000 + dst))
+      [ Ofproto.Action.Output out ])
+
+let guard_edit_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun r -> Add r) guard_rule_gen);
+        (3, map (fun r -> Add r) exact_rule_gen);
+        (2, map (fun i -> Delete i) nat);
+        (2, map (fun i -> Readd i) nat);
+        (1, map (fun l -> Replace l) (list_size (int_range 0 4) nat));
+        ( 2,
+          map2
+            (fun i rs -> Batch (i, rs))
+            nat
+            (list_size (int_range 1 4) (oneof [ guard_rule_gen; exact_rule_gen ])) );
+      ])
+
+let prop_guards_across_edits =
+  QCheck2.Test.make ~name:"chained edits: guards = per-port derivation" ~count:1000
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 24) (oneof [ guard_rule_gen; exact_rule_gen ]))
+        (list_size (int_range 3 6) guard_edit_gen))
+    (fun (rules, edits) ->
+      let table = Ofproto.Flow_table.create () in
+      List.iter (fun spec -> Ofproto.Flow_table.add table spec ~now:0.0) rules;
+      let flows_of _ = Ofproto.Flow_table.specs table in
+      let ctx = Rvaas.Verifier.context ~flows_of (verifier_fixture ()) in
+      let ports = List.init (guards_port_count + 1) Fun.id in
+      let agrees () =
+        let unbound =
+          List.filter
+            (fun port ->
+              not
+                (List.exists
+                   (fun (spec : Ofproto.Flow_entry.spec) ->
+                     Ofproto.Match_.in_port spec.match_ = Some port)
+                   (flows_of 0)))
+            ports
+        in
+        List.for_all
+          (fun port ->
+            let got = Rvaas.Verifier.guards ctx ~sw:0 ~port
+            and want = per_port_guards flows_of 0 port in
+            List.length got = List.length want
+            && List.for_all2
+                 (fun (g : Rvaas.Verifier.guarded) (r : Rvaas.Verifier.guarded) ->
+                   g.g_spec == r.g_spec
+                   && Hspace.Tern.equal g.g_cube r.g_cube
+                   && List.equal Hspace.Tern.equal g.g_shadow r.g_shadow)
+                 got want)
+          ports
+        && (match unbound with
+           | [] -> true
+           | p :: rest ->
+             let shared = Rvaas.Verifier.guards ctx ~sw:0 ~port:p in
+             List.for_all (fun q -> Rvaas.Verifier.guards ctx ~sw:0 ~port:q == shared) rest)
+      in
+      let nth i =
+        match flows_of 0 with [] -> None | l -> Some (List.nth l (i mod List.length l))
+      in
+      let delete (spec : Ofproto.Flow_entry.spec) =
+        ignore
+          (Ofproto.Flow_table.delete table ~match_:spec.match_ ~priority:spec.priority ())
+      in
+      agrees ()
+      && List.for_all
+           (fun edit ->
+             (match edit with
+             | Add spec -> Ofproto.Flow_table.add table spec ~now:0.0
+             | Delete i -> Option.iter delete (nth i)
+             | Readd i ->
+               Option.iter
+                 (fun spec ->
+                   delete spec;
+                   Ofproto.Flow_table.add table spec ~now:0.0)
+                 (nth i)
+             | Batch (i, specs) ->
+               Option.iter delete (nth i);
+               List.iter (fun spec -> Ofproto.Flow_table.add table spec ~now:0.0) specs
+             | Replace fresh ->
+               let specs = flows_of 0 in
+               let n = List.length specs in
+               Ofproto.Flow_table.replace table
+                 (List.mapi
+                    (fun i (spec : Ofproto.Flow_entry.spec) ->
+                      if List.exists (fun j -> j mod max n 1 = i) fresh then { spec with cookie = spec.cookie }
+                      else spec)
+                    specs)
+                 ~now:0.0);
+             Rvaas.Verifier.invalidate_switch ctx ~sw:0;
+             agrees ())
+           edits)
+
 (* ---- differential: optimised verifier ≡ reference verifier ---- *)
 
 let test_verifier_matches_reference () =
@@ -1280,6 +1474,7 @@ let () =
           Alcotest.test_case "malformed scopes" `Quick test_codec_malformed_scopes;
           QCheck_alcotest.to_alcotest prop_answer_roundtrip;
           QCheck_alcotest.to_alcotest prop_answer_bytes_match_reference;
+          QCheck_alcotest.to_alcotest prop_transfer_decode_grouping;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_auth_roundtrip;
         ] );
@@ -1315,6 +1510,7 @@ let () =
           Alcotest.test_case "matches reference implementation" `Quick
             test_verifier_matches_reference;
           QCheck_alcotest.to_alcotest prop_guards_match_per_port;
+          QCheck_alcotest.to_alcotest prop_guards_across_edits;
         ] );
       ( "detector",
         [
